@@ -17,6 +17,7 @@ failure (a cross-check contradiction, which indicates a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -247,9 +248,12 @@ def cmd_series_check(args, out) -> int:
         echo["a0"] = args.a0
     elif lambda0 == 0:
         # try the oracle: a rational Riccati solution u gives a0 = 2u
-        found = riccati.rational_solutions(
-            riccati.associate_riccati(R), degree_bound=args.degree_bound
-        )
+        try:
+            found = riccati.rational_solutions(
+                riccati.associate_riccati(R), degree_bound=args.degree_bound
+            )
+        except (riccati.NonRationalPoles, riccati.UnsupportedAtInfinity) as exc:
+            raise InputError(str(exc)) from exc
         if found.solutions:
             a0 = found.solutions[0].scale(Q(2))
 
@@ -432,11 +436,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import; parse_args
+    leaves it unchanged and returns a fresh Namespace each time."""
+    return build_arg_parser()
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
+        if args.degree_bound < 0:
+            raise InputError("--degree-bound must be nonnegative")
         return args.func(args, out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

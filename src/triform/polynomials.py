@@ -144,7 +144,7 @@ class Poly:
             return _ZERO, self
         quot = [Q(0)] * (len(rem) - db)
         for k in range(len(rem) - db - 1, -1, -1):
-            c = rem[k + db] / lead
+            c = rem[k + db] if lead == 1 else rem[k + db] / lead
             if c == 0:
                 continue
             quot[k] = c
@@ -167,10 +167,11 @@ class Poly:
         return Poly([c / lead for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor (Euclid)."""
+        """Monic greatest common divisor (Euclid over the monic remainder
+        sequence, which keeps the coefficient sizes small)."""
         a, b = self, other
         while not b.is_zero:
-            a, b = b, a % b
+            a, b = b, (a % b).monic()
         return a.monic()
 
     # -- calculus and evaluation --------------------------------------------
@@ -270,15 +271,12 @@ class RatFunc:
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(Poly.const(c))
+        p = Poly.const(c)
+        return _RF_ZERO if p.is_zero else RatFunc._raw(p, _ONE)
 
     @staticmethod
     def variable() -> "RatFunc":
-        return RatFunc(_X)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
+        return _RF_X
 
     # -- structure ---------------------------------------------------------
 
@@ -308,23 +306,66 @@ class RatFunc:
         return hash((self.num, self.den))
 
     # -- field operations ----------------------------------------------------
+    #
+    # Both operands are reduced with monic denominators, so each result is
+    # assembled reduced, with only the gcds that can be nontrivial
+    # (Henrici's cross-cancellation; Knuth, TAOCP vol. 2, 4.5.1).  The
+    # results equal RatFunc(num, den) built from the unreduced formulas.
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        # only b = d gives a zero sum: 0/1 already when b = d = 1, else
+        # caught in the common-factor case
+        if d.degree == 0:
+            # gcd(a + c*b, b) = gcd(a, b) = 1
+            return RatFunc._raw(a + c * b, b)
+        if b.degree == 0:
+            return RatFunc._raw(a * d + c, d)
+        g = b.gcd(d)
+        if g.degree == 0:
+            return RatFunc._raw(a * d + c * b, b * d)
+        # b = g*b', d = g*d': t = a*d' + c*b' is prime to b'*d', so the
+        # only factor t can share with g*b'*d' is gcd(t, g)
+        bg, dg = b // g, d // g
+        t = a * dg + c * bg
+        if t.is_zero:
+            return _RF_ZERO
+        g2 = t.gcd(g)
+        if g2.degree > 0:
+            return RatFunc._raw(t // g2, bg * (d // g2))
+        return RatFunc._raw(t, bg * d)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc._raw(-self.num, self.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if a.is_zero or c.is_zero:
+            return _RF_ZERO
+        # cancel gcd(a, d) and gcd(c, b); a/b and c/d are already reduced
+        if a.degree > 0 and d.degree > 0:
+            g = a.gcd(d)
+            if g.degree > 0:
+                a, d = a // g, d // g
+        if c.degree > 0 and b.degree > 0:
+            g = c.gcd(b)
+            if g.degree > 0:
+                c, b = c // g, b // g
+        return RatFunc._raw(a * c, b * d)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero:
             raise ZeroDivisionError("division by zero RatFunc")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        num, den = other.den, other.num
+        lead = den.coeffs[-1]
+        if lead != 1:
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        return self * RatFunc._raw(num, den)
 
     def scale(self, c) -> "RatFunc":
         if type(c) is not type(_QZERO):
@@ -336,22 +377,25 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return (_RF_ONE / self) ** (-n)
-        result = _RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # gcd(num, den) = 1 gives gcd(num^n, den^n) = 1
+        return RatFunc._raw(self.num**n, self.den**n)
 
     # -- calculus and evaluation ----------------------------------------------
 
     def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        n, d = self.num, self.den
+        if d.degree == 0:
+            return RatFunc._raw(n.derivative(), _ONE)
+        # with g = gcd(d, d'), s = d/g, t = d'/g:  (n/d)' = (n's - nt)/(ds).
+        # A factor p^k of d leaves p exactly once in s and not at all in t
+        # (characteristic 0), so p does not divide n's - nt: reduced.
+        dp = d.derivative()
+        g = d.gcd(dp)
+        if g.degree > 0:
+            s, t = d // g, dp // g
+        else:
+            s, t = d, dp
+        return RatFunc._raw(n.derivative() * s - n * t, d * s)
 
     def evaluate(self, x):
         x = Q(x)
@@ -362,10 +406,7 @@ class RatFunc:
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
         """self(inner(y)).  inner must not be identically a pole of self."""
-        n = self.num.compose(inner)
-        d = self.den.compose(inner)
-        # equalize denominators before dividing to avoid huge intermediates
-        return RatFunc(n.num * d.den, n.den * d.num)
+        return self.num.compose(inner) / self.den.compose(inner)
 
     # -- display ---------------------------------------------------------------
 
@@ -387,6 +428,7 @@ class RatFunc:
 
 _RF_ZERO = RatFunc(_ZERO)
 _RF_ONE = RatFunc(_ONE)
+_RF_X = RatFunc(_X)
 
 
 # -- factorization helpers ------------------------------------------------------
@@ -476,7 +518,7 @@ class PartialFractions:
     terms: Tuple[Tuple, ...]  # (pole, order, coeff), poles ascending, orders descending
 
     def recombine(self) -> RatFunc:
-        total = RatFunc.from_poly(self.poly_part)
+        total = RatFunc(self.poly_part)
         for pole, order, coeff in self.terms:
             total = total + RatFunc(Poly.const(coeff), Poly.linear(pole) ** order)
         return total

@@ -1,9 +1,9 @@
 """Exact rational scalars and the extended value infinity.
 
-All arithmetic in the toolkit runs over Q, represented by gmpy2.mpq when
-available (roughly 15x faster than fractions.Fraction) and by Fraction
-otherwise.  The two types hash and compare identically, so they can be
-mixed freely; ``Q`` is the constructor used everywhere.
+All arithmetic in the toolkit runs over Q, represented by
+fractions.Fraction, the tested reference, or by gmpy2.mpq when the optional
+gmpy2 extra is installed.  The two types hash and compare identically, so
+they can be mixed freely; ``Q`` is the constructor used everywhere.
 
 ExtRational adds the single extra point "infinity" used for triangle
 parameters: inverse(inf) = 0, inverse(q) = 1/q, inverse(0) is an error.
@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
+except ImportError:
     Q = Fraction
 
 Rational = Union[Fraction, "Q"]  # anything Q() accepts and returns

@@ -299,9 +299,37 @@ def moebius_pullback(R: RatFunc, m: Moebius) -> RatFunc:
     Returns Rt with Rt(z) = R(m^{-1}(z)) * (dm^{-1}/dz)^2, so z = m(y)
     solves the Schwarzian equation with Rt whenever y solves it with R.
     """
-    inv = m.inverse().as_ratfunc()
-    dinv = inv.derivative()
-    return R.compose(inv) * dinv * dinv
+    if R.is_zero:
+        return R
+    # m^{-1}(z) = M/L with M = pz + q, L = rz + s and (m^{-1})' = det/L^2.
+    # Homogenising P against it, P_h = sum p_k M^k L^(deg P - k), gives
+    #   Rt = det^2 N_h / (D_h L^(4 + deg N - deg D)).
+    # m^{-1} is a bijection of the projective line, so N_h, D_h and L are
+    # pairwise prime: Rt only needs a monic denominator.
+    inv = m.inverse()
+    M, L = Poly((inv.b, inv.a)), Poly((inv.d, inv.c))
+    det = inv.a * inv.d - inv.b * inv.c
+    N, D = R.num, R.den
+    e = 4 + N.degree - D.degree
+    L_pow = [Poly.one()]
+    for _ in range(max(N.degree, D.degree, e)):  # -e < deg D
+        L_pow.append(L_pow[-1] * L)
+    num, den = _homogenize(N, M, L_pow), _homogenize(D, M, L_pow)
+    if e >= 0:
+        den = den * L_pow[e]
+    else:
+        num = num * L_pow[-e]
+    lead = den.leading
+    return RatFunc._raw(num.scale(det * det / lead), den.scale(1 / lead))
+
+
+def _homogenize(P: Poly, M: Poly, L_pow) -> Poly:
+    """sum p_k M^k L^(deg P - k), by Horner's rule in M."""
+    n = P.degree
+    acc = Poly.const(P.leading)
+    for k in range(n - 1, -1, -1):
+        acc = acc * M + L_pow[n - k].scale(P.coeffs[k])
+    return acc
 
 
 def check_solution(g: RatFunc, R: RatFunc) -> bool:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import triform.cli as cli
 import triform.riccati as riccati
 from triform.cli import main
 from triform.schwarzian import TriangleParams
@@ -105,6 +106,66 @@ class TestAnalyze:
         code, doc = run_json(["analyze", "--triangle", "1,inf,inf", "--oracle"])
         assert code == 3
         assert doc["oracle"]["consistency"] == "CONTRADICTION"
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--triangle", "1,inf,inf", "--oracle"],
+            ["sweep", "--bound", "5"],
+            ["series-check", "--triangle", "1,inf,inf"],
+            ["oracle", "--triangle", "1,inf,inf"],
+        ],
+    )
+    def test_negative_degree_bound_exits_2(self, argv, capsys):
+        # with a negative bound the oracle would skip every combo and call
+        # its search exhaustive, though u = (y - 1/2)/(y^2 - y) solves 1,inf,inf
+        code, text = run(argv + ["--degree-bound", "-5"])
+        assert code == 2 and text == ""
+        assert "--degree-bound" in capsys.readouterr().err
+
+    def test_zero_degree_bound_accepted(self):
+        code, _ = run(["oracle", "--triangle", "2,3,7", "--degree-bound", "0"])
+        assert code == 0
+
+    @pytest.mark.parametrize("expr", ["1/(y^2+1)^2", "y"])
+    def test_series_check_unsupported_expr_exits_2(self, expr, capsys):
+        # a denominator that does not split over Q, and R not vanishing at
+        # infinity: the oracle cannot run, which is an input error
+        code, text = run(["series-check", "--expr", expr])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    """One parser serves every call in a process; each call must answer as
+    under a freshly built parser."""
+    calls = [
+        ["analyze", "--triangle", "1,inf,inf", "--oracle", "--json"],
+        ["analyze", "--triangle", "1,inf,inf", "--json"],
+        ["analyze", "--no-such-flag"],
+        ["oracle", "--triangle", "1,inf,inf", "--json"],
+    ]
+
+    def outcome(argv):
+        out = io.StringIO()
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
+        return code, out.getvalue(), capsys.readouterr().err
+
+    parser = cli._arg_parser()
+    reused = [outcome(argv) for argv in calls]
+    assert cli._arg_parser() is parser
+    fresh = []
+    for argv in calls:
+        cli._arg_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 2, 0]
+    assert json.loads(reused[1][1])["oracle"] is None
 
 
 class TestDeterminism:

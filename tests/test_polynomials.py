@@ -18,7 +18,7 @@ from triform.polynomials import (
 )
 from triform.scalars import Q
 
-from conftest import random_ratfunc
+from conftest import random_poly, random_ratfunc
 
 Y = RatFunc.variable()
 ONE = RatFunc.one()
@@ -101,6 +101,93 @@ class TestDifferentiate:
             a = random_ratfunc(rng)
             b = random_ratfunc(rng)
             assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+class TestReducedArithmetic:
+    """The operators assemble reduced results without the full gcd of the
+    unreduced formulas; RatFunc(num, den) on those formulas is the
+    reference."""
+
+    # linear and irreducible quadratic factors, so that random denominators
+    # share factors (with multiplicity) often
+    FACTORS = (
+        Poly((0, 1)),
+        Poly((-1, 1)),
+        Poly((1, 1)),
+        Poly((Q(-1, 2), 1)),
+        Poly((1, 0, 1)),
+    )
+
+    def random_operand(self, rng, max_mult=2):
+        den = Poly.const(Q(rng.randint(1, 5), rng.randint(1, 3)))
+        for f in self.FACTORS:
+            den = den * f ** rng.choice((0, 0, *range(1, max_mult + 1)))
+        num = random_poly(rng)
+        if rng.random() < 0.3:
+            num = num * rng.choice(self.FACTORS)  # may cancel against den
+        return RatFunc(num, den)
+
+    def assert_reference(self, got, num, den):
+        ref = RatFunc(num, den)
+        assert (got.num, got.den) == (ref.num, ref.den)
+        assert got.den.leading == 1
+
+    def test_field_operations_match_reference(self, rng):
+        shared = 0
+        for _ in range(600):
+            x, y = self.random_operand(rng), self.random_operand(rng)
+            a, b, c, d = x.num, x.den, y.num, y.den
+            shared += b.gcd(d).degree > 0
+            self.assert_reference(x + y, a * d + c * b, b * d)
+            self.assert_reference(x - y, a * d - c * b, b * d)
+            self.assert_reference(x * y, a * c, b * d)
+            if not y.is_zero:
+                self.assert_reference(x / y, a * d, b * c)
+        assert shared > 200  # the common-factor path really ran
+
+    def test_cancellation_through_the_common_factor(self):
+        # 1/(y(y-1)) + 1/(y(y+1)) = 2y/(y(y-1)(y+1)) = 2/(y^2 - 1)
+        x = RatFunc(Poly.one(), Poly((0, -1, 1)))
+        y = RatFunc(Poly.one(), Poly((0, 1, 1)))
+        assert x + y == rf((2,), (-1, 0, 1))
+        assert x - x == RatFunc.zero() and (x - x).den == Poly.one()
+
+    def test_derivative_matches_reference(self, rng):
+        for _ in range(400):
+            x = self.random_operand(rng, max_mult=3)
+            n, d = x.num, x.den
+            got = x.derivative()
+            self.assert_reference(got, n.derivative() * d - n * d.derivative(), d * d)
+
+    def test_derivative_repeated_factors(self):
+        # (1/(y^3 (y-1)^2))' = -(5y - 3)/(y^4 (y-1)^3)
+        d = Poly((0, 1)) ** 3 * Poly((-1, 1)) ** 2
+        got = RatFunc(Poly.one(), d).derivative()
+        assert got == RatFunc(Poly((3, -5)), Poly((0, 1)) ** 4 * Poly((-1, 1)) ** 3)
+
+    def test_power_matches_repeated_product(self, rng):
+        for _ in range(100):
+            x = self.random_operand(rng)
+            n = rng.randint(-3, 4)
+            if n < 0 and x.is_zero:
+                continue
+            ref = ONE
+            for _ in range(abs(n)):
+                ref = ref * x
+            assert x**n == (ref if n >= 0 else ONE / ref)
+
+    def test_gcd_matches_plain_euclid(self, rng):
+        def euclid(a, b):
+            while not b.is_zero:
+                a, b = b, a % b
+            return a.monic()
+
+        for _ in range(300):
+            common = random_poly(rng, 2, zero_ok=False)
+            a, b = common * random_poly(rng), common * random_poly(rng)
+            g = a.gcd(b)
+            assert g == euclid(a, b)
+            assert g.is_zero or g.leading == 1
 
 
 class TestEvaluate:

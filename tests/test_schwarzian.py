@@ -21,7 +21,7 @@ from triform.schwarzian import (
     schwarzian_of,
 )
 
-from conftest import random_nonconstant_ratfunc
+from conftest import random_nonconstant_ratfunc, random_poly
 
 T = RatFunc.variable()
 
@@ -172,6 +172,36 @@ class TestMoebius:
             R = random_nonconstant_ratfunc(rng, 2)
             m = random_moebius(rng)
             assert moebius_pullback(moebius_pullback(R, m), m.inverse()) == R
+
+
+    def test_pullback_matches_composition(self, rng):
+        # the homogenised pullback against R(m^-1) * ((m^-1)')^2 computed
+        # by composition, over every shape the formula distinguishes
+        shapes = set()
+        for i in range(400):
+            R = RatFunc(random_poly(rng, 4), random_poly(rng, 7, zero_ok=False))
+            m = random_moebius(rng)
+            if i % 4 == 0:
+                m = Moebius(m.a or 1, m.b, 0, m.d or 1)  # affine: c = 0
+            inv = m.inverse().as_ratfunc()
+            dinv = inv.derivative()
+            got = moebius_pullback(R, m)
+            assert got == R.compose(inv) * dinv * dinv
+            assert got.den.leading == 1
+            if R.is_zero:
+                shapes.add("zero")
+                continue
+            shapes.add("affine" if m.c == 0 else "general")
+            e = R.num.degree - R.den.degree
+            if R.den.degree == 0:
+                shapes.add("polynomial")
+            if e > 0:
+                shapes.add("deg N > deg D")
+            if e < -4:
+                shapes.add("L in the numerator")
+        assert shapes >= {
+            "zero", "affine", "general", "polynomial", "deg N > deg D", "L in the numerator"
+        }
 
 
 class TestCheckSolution:
