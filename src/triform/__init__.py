@@ -39,13 +39,11 @@ from .kimura import (
 )
 from .riccati import (
     ConsistencyReport,
-    LinearODE2,
     OracleResult,
     RiccatiEq,
     associate_riccati,
     cross_check,
     rational_solutions,
-    to_linear_ode,
 )
 from .puiseux import (
     PuiseuxSeries,
@@ -53,7 +51,6 @@ from .puiseux import (
     derive,
     leading_constraints,
     residual,
-    series_arith,
 )
 from .parser import parse_expr, parse_ratfunc, print_expr, to_ratfunc
 

@@ -223,10 +223,8 @@ def _decide_block(triples):
 def cmd_series_check(args, out) -> int:
     lambda0 = Q(0)
     if args.lambda0 is not None:
-        from fractions import Fraction
-
         try:
-            lambda0 = Q(Fraction(args.lambda0))
+            lambda0 = Q(args.lambda0)
         except ValueError as exc:
             raise InputError(f"bad --lambda0 value: {exc}") from exc
     if args.triangle is None and args.expr is None:
@@ -295,6 +293,16 @@ def cmd_oracle(args, out) -> int:
         result = riccati.rational_solutions(eq, degree_bound=args.degree_bound)
     except (riccati.NonRationalPoles, riccati.UnsupportedAtInfinity) as exc:
         raise InputError(str(exc)) from exc
+    found = len(result.solutions)
+    if not result.complete:
+        conclusion = (
+            f"{found} rational solution(s) with auxiliary degree <= {args.degree_bound}; "
+            "search cut by --degree-bound, higher degrees not searched"
+        )
+    elif found:
+        conclusion = f"{found} rational solution(s)"
+    else:
+        conclusion = "no rational solutions (rational branch exhaustive)"
     doc = {
         "input": echo,
         "normalized": R.render("y"),
@@ -308,11 +316,7 @@ def cmd_oracle(args, out) -> int:
             "families": list(result.certificate.families),
             "notes": list(result.certificate.notes),
         },
-        "conclusion": (
-            f"{len(result.solutions)} rational solution(s)"
-            if result.solutions
-            else "no rational solutions (rational branch exhaustive)"
-        ),
+        "conclusion": conclusion,
         "citations": [CITATIONS["liouvillian"]],
     }
     _emit(doc, args, out)

@@ -1,9 +1,13 @@
 """Exact univariate polynomials and rational functions over Q.
 
-A Poly is a tuple of coefficients in ascending degree order with a nonzero
-leading coefficient; the zero polynomial is the empty tuple.  deg(0) is the
--infinity sentinel so that deg(p*q) = deg(p) + deg(q) holds without special
-cases.
+A Poly stores integer numerators over one common denominator: coefficient k
+is ints[k]/den, with ints a tuple of Python ints in ascending degree order
+and den a positive int.  The form is canonical: gcd(den, *ints) = 1 and the
+leading numerator is nonzero, so equality and hashing are structural.  The
+zero polynomial is ints = (), den = 1, and deg(0) is the -infinity sentinel
+so that deg(p*q) = deg(p) + deg(q) holds without special cases.  Every
+kernel runs on the integers; ``coeffs`` gives the coefficients as Q values,
+built on first use.
 
 A RatFunc is a reduced fraction num/den of Polys with den monic and
 gcd(num, den) = 1, so equality is structural.  All operations are exact and
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .scalars import Q
 
@@ -29,14 +33,44 @@ class NotSplitOverRationals(ValueError):
     """Denominator has an irreducible factor of degree >= 2 over Q."""
 
 
-class Poly:
-    __slots__ = ("coeffs",)
+def _poly(ints: List[int], den: int) -> "Poly":
+    """The canonical Poly with coefficients ints[k]/den (den nonzero): strip
+    trailing zeros, make den positive and divide out gcd(den, *ints)."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        den = 1
+    elif den < 0:
+        den = -den
+        ints = [-n for n in ints]
+    if den != 1:
+        g = math.gcd(den, *ints)
+        if g != 1:
+            den //= g
+            ints = [n // g for n in ints]
+    p = object.__new__(Poly)
+    p.ints = tuple(ints)
+    p.den = den
+    p._coeffs = None
+    return p
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [c if type(c) is type(_QZERO) else Q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: Tuple = tuple(cs)
+
+class Poly:
+    __slots__ = ("ints", "den", "_coeffs")
+
+    def __new__(cls, coeffs: Iterable = ()):
+        cs = [c if type(c) is int or type(c) is Q else Q(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        return _poly([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @property
+    def coeffs(self) -> Tuple:
+        """The coefficients as Q values, ascending degree."""
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = self._coeffs = tuple(Q(n, den) for n in self.ints)
+        return cs
 
     # -- constructors ------------------------------------------------------
 
@@ -65,62 +99,69 @@ class Poly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.ints) - 1 if self.ints else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Q(self.ints[-1], self.den)
 
     def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q(0)
+        cs = self.coeffs
+        return cs[k] if 0 <= k < len(cs) else _QZERO
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.ints == other.ints and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        """Sum over the lcm of the two denominators."""
+        a, b = self.ints, other.ints
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+            da, db = other.den, self.den
+        else:
+            da, db = self.den, other.den
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        out = [x * fa for x in a]
+        for i, x in enumerate(b):
+            out[i] += x * fb
+        return _poly(out, da * fa)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly([-n for n in self.ints], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
-        out = [Q(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _poly(out, self.den * other.den)
 
     def scale(self, c) -> "Poly":
-        if type(c) is not type(_QZERO):
+        if type(c) is not int and type(c) is not Q:
             c = Q(c)
-        if c == 0:
+        if not c:
             return _ZERO
-        return Poly([a * c for a in self.coeffs])
+        n = c.numerator
+        return _poly([a * n for a in self.ints], self.den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -135,22 +176,39 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> Tuple["Poly", "Poly"]:
-        if other.is_zero:
+        """Pseudo-division on the numerators, s*a = q*b + r with s a power
+        of lead(b) (Knuth, TAOCP vol. 2, 4.6.1).  The remainder is scaled by
+        lead(b) only when a quotient digit would not be an integer, so s = 1
+        when lead(b) = +-1."""
+        b = other.ints
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        if len(rem) <= db:
+        a = self.ints
+        n = len(b) - 1
+        if len(a) <= n:
             return _ZERO, self
-        quot = [Q(0)] * (len(rem) - db)
-        for k in range(len(rem) - db - 1, -1, -1):
-            c = rem[k + db] if lead == 1 else rem[k + db] / lead
-            if c == 0:
+        lead = b[-1]
+        if n == 0:
+            return _poly([x * other.den for x in a], self.den * lead), _ZERO
+        rem = list(a)
+        quot = [0] * (len(a) - n)
+        s = 1
+        for k in range(len(a) - n - 1, -1, -1):
+            c = rem[k + n]
+            if not c:
                 continue
-            quot[k] = c
-            for j, bj in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - c * bj
-        return Poly(quot), Poly(rem[:db])
+            if c % lead:
+                rem = [x * lead for x in rem]
+                quot = [x * lead for x in quot]
+                s *= lead
+                c = rem[k + n]
+            t = c // lead
+            quot[k] = t
+            for j, y in enumerate(b, k):
+                rem[j] -= t * y
+        # a/da = (q db / (s da)) * (b/db) + r / (s da)
+        den = s * self.den
+        return _poly([x * other.den for x in quot], den), _poly(rem[:n], den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -159,12 +217,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        ints = self.ints
+        if not ints or ints[-1] == self.den:
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Poly([c / lead for c in self.coeffs])
+        return _poly(list(ints), ints[-1])
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor (Euclid over the monic remainder
@@ -177,16 +233,25 @@ class Poly:
     # -- calculus and evaluation --------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs) if i > 0])
+        return _poly([k * n for k, n in enumerate(self.ints) if k], self.den)
 
     def __call__(self, x):
-        cs = self.coeffs
-        if not cs:
+        """Value at a rational x = p/q, by Horner's rule on the homogenised
+        numerator sum n_k p^k q^(deg - k), over den * q^deg."""
+        ints = self.ints
+        if not ints:
             return _QZERO
-        acc = cs[-1]
-        for c in cs[-2::-1]:
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        acc = ints[-1]
+        if q == 1:
+            for c in ints[-2::-1]:
+                acc = acc * p + c
+            return Q(acc, self.den)
+        qk = 1
+        for c in ints[-2::-1]:
+            qk *= q
+            acc = acc * p + c * qk
+        return Q(acc, self.den * qk)
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
         """self(inner) as a rational function (Horner over RatFunc)."""
@@ -246,10 +311,9 @@ class RatFunc:
         if g.degree > 0:
             num = num // g
             den = den // g
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+        if den.ints[-1] != den.den:
+            num = num.scale(Q(den.den, den.ints[-1]))
+            den = den.monic()
         self.num, self.den = num, den
 
     # -- constructors ------------------------------------------------------
@@ -362,14 +426,11 @@ class RatFunc:
         if other.is_zero:
             raise ZeroDivisionError("division by zero RatFunc")
         num, den = other.den, other.num
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        if den.ints[-1] != den.den:
+            num, den = num.scale(Q(den.den, den.ints[-1])), den.monic()
         return self * RatFunc._raw(num, den)
 
     def scale(self, c) -> "RatFunc":
-        if type(c) is not type(_QZERO):
-            c = Q(c)
         if c == 0:
             return _RF_ZERO
         return RatFunc._raw(self.num.scale(c), self.den)
@@ -434,61 +495,79 @@ _RF_X = RatFunc(_X)
 # -- factorization helpers ------------------------------------------------------
 
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 def rational_roots(p: Poly) -> List[Tuple]:
     """All rational roots of p with multiplicity, as (root, mult) pairs.
 
-    Roots are returned in ascending order.
+    Roots are returned in ascending order.  They are the roots of the
+    square-free part f of p with y^k stripped: with a the leading numerator
+    of f, g(x) = a^(n-1) f(x/a) is monic with integer coefficients, and its
+    integer roots are a times the rational roots of f.  Those are found by
+    Hensel lifting, so the cost is polynomial in the coefficients' bit size.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every root")
-    coeffs = list(p.coeffs)
     roots: List[Tuple] = []
-    # strip the root at 0 first
+    ints = p.ints
     k = 0
-    while coeffs[k] == 0:
+    while not ints[k]:
         k += 1
     if k:
-        roots.append((Q(0), k))
-        coeffs = coeffs[k:]
-    if len(coeffs) <= 1:
+        roots.append((_QZERO, k))
+        p = _poly(list(ints[k:]), p.den)
+    if p.degree < 1:
         return roots
-    # clear denominators to get integer coefficients
-    denlcm = 1
-    for c in coeffs:
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, int(c.denominator))
-    ints = [int(c * denlcm) for c in coeffs]
-    cand: List = []
-    for pnum in _divisors(ints[0]):
-        for qden in _divisors(ints[-1]):
-            if math.gcd(pnum, qden) == 1:
-                cand.append(Q(pnum, qden))
-                cand.append(Q(-pnum, qden))
-    cand.sort()
-    work = Poly(coeffs)
-    for r in cand:
-        if work.degree < 1:
-            break
+    f = (p // p.gcd(p.derivative())).ints
+    n, a = len(f) - 1, f[-1]
+    g = [c * a ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    for x in _integer_roots(g):
+        r = Q(x, a)
         mult = 0
-        while work(r) == 0:
-            work = work // Poly.linear(r)
+        while p(r) == 0:
+            p = p // Poly.linear(r)
             mult += 1
-        if mult:
-            roots.append((r, mult))
+        roots.append((r, mult))
     roots.sort(key=lambda t: t[0])
     return roots
+
+
+def _integer_roots(g: List[int]) -> List[int]:
+    """Integer roots of a monic square-free integer polynomial g with
+    g(0) != 0 (coefficients ascending).
+
+    Every integer root x has |x| <= max |g_i| (Cauchy).  Pick a prime p at
+    which every root of g mod p is simple, lift each root to a root mod
+    m = p^(2^j) > 2 max |g_i| by Newton's step, and test the symmetric
+    representatives exactly."""
+    bound = max(abs(c) for c in g)
+    dg = [i * c for i, c in enumerate(g) if i]
+
+    def at(h, x, m):
+        acc = 0
+        for c in reversed(h):
+            acc = (acc * x + c) % m
+        return acc
+
+    p = 2
+    while True:
+        p += 1
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        cand = [r for r in range(p) if at(g, r, p) == 0]
+        if all(at(dg, r, p) for r in cand):
+            break
+    m = p
+    while m <= 2 * bound:
+        m *= m
+        cand = [(r - at(g, r, m) * pow(at(dg, r, m), -1, m)) % m for r in cand]
+    found = []
+    for r in cand:
+        x = r if 2 * r <= m else r - m
+        acc = 0
+        for c in reversed(g):
+            acc = acc * x + c
+        if acc == 0:
+            found.append(x)
+    return found
 
 
 def linear_factorization(p: Poly) -> List[Tuple]:

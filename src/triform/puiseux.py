@@ -187,18 +187,6 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({self.render()!r})"
 
 
-def series_arith(s: PuiseuxSeries, t: PuiseuxSeries, op: str) -> PuiseuxSeries:
-    """Functional front end for +, -, x (exponent denominators merge by lcm
-    automatically since exponents are exact rationals)."""
-    if op == "+":
-        return s + t
-    if op == "-":
-        return s - t
-    if op in ("*", "x"):
-        return s * t
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 @dataclass(frozen=True)
 class SeriesContext:
     """Closure for the derivation: U stands for u = y''/y'^2, so y'' = U*w^2."""

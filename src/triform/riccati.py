@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .kimura import KimuraVerdict, decide_condition_ric
 from .polynomials import (
@@ -79,29 +79,8 @@ class RiccatiEq:
         return self.render()
 
 
-@dataclass(frozen=True)
-class LinearODE2:
-    """v'' + r(y) v = 0 in normalized form (no first-order term)."""
-
-    r: RatFunc
-
-    def residual(self, v: RatFunc) -> RatFunc:
-        return v.derivative().derivative() + self.r * v
-
-    def render(self) -> str:
-        return f"v'' + ({self.r.render('y')}) * v = 0"
-
-    def __str__(self) -> str:
-        return self.render()
-
-
 def associate_riccati(R: RatFunc) -> RiccatiEq:
     return RiccatiEq(R)
-
-
-def to_linear_ode(e: RiccatiEq) -> LinearODE2:
-    """u solves the Riccati equation iff u = v'/v, v a nonzero solution."""
-    return LinearODE2(e.half_R)
 
 
 def half_riccati_residual(a: RatFunc, R: RatFunc) -> RatFunc:
@@ -137,6 +116,7 @@ class SearchCertificate:
 class OracleResult:
     solutions: Tuple[RatFunc, ...]
     certificate: SearchCertificate
+    complete: bool = True  # False when a combo was pruned by the degree bound
 
     @property
     def found(self) -> bool:
@@ -169,12 +149,12 @@ def _denominator_poles(den: Poly) -> Tuple[Tuple, ...]:
     Taylor coefficient, so the coefficient of (y - pole)^-2 in num/den is
     num(pole)/h with no division of polynomials; h is None at other roots.
     Raises NotSplitOverRationals."""
-    return _denominator_poles_of(tuple((c.numerator, c.denominator) for c in den.coeffs))
+    return _denominator_poles_of(den.ints, den.den)
 
 
 @lru_cache(maxsize=64)
-def _denominator_poles_of(key: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple, ...]:
-    den = Poly(Q(n, d) for n, d in key)
+def _denominator_poles_of(ints: Tuple[int, ...], d: int) -> Tuple[Tuple, ...]:
+    den = Poly(ints).scale(Q(1, d))
     second = den.derivative().derivative()
     return tuple(
         (pole, order, second(pole) / 2 if order == 2 else None)
@@ -257,9 +237,11 @@ def _gauss_solve(rows: List[List], rhs: List, ncols: int):
 def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
     """All rational solutions of the Riccati equation, with certificate.
 
-    Complete within the rational branch: an empty solution list means no
-    rational solution exists (unless the certificate notes say otherwise,
-    which cannot happen for triangular coefficient functions).
+    Combos whose auxiliary polynomial would have degree above degree_bound
+    are pruned, and then the result is not complete.  A complete search is
+    exhaustive within the rational branch: an empty solution list means no
+    rational solution exists.  A family counts as found: it is recorded in
+    the certificate, only its members are not listed.
     """
     r = e.half_R
     cert = SearchCertificate()
@@ -313,6 +295,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
     cert.exponents_inf = exps_inf
 
     solutions: List[RatFunc] = []
+    complete = True
     for choice, residues, text_inf, text_d, d in _exponent_combinations(pole_list, exps_inf):
         entry = {
             "residues": residues,
@@ -327,6 +310,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
         if d > degree_bound:
             entry["status"] = f"pruned: degree {d} exceeds bound {degree_bound}"
             cert.combos.append(entry)
+            complete = False
             continue
         theta = RatFunc.zero()
         for c, ec in choice:
@@ -357,7 +341,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
         cert.combos.append(entry)
         if u not in solutions:
             solutions.append(u)
-    return OracleResult(tuple(solutions), cert)
+    return OracleResult(tuple(solutions), cert, complete)
 
 
 def _exponent_combinations(pole_list: List[PoleData], exps_inf):
@@ -399,6 +383,7 @@ def _exponent_combinations(pole_list: List[PoleData], exps_inf):
 
 CONSISTENT = "CONSISTENT"
 CONTRADICTION = "CONTRADICTION"
+INCONCLUSIVE = "INCONCLUSIVE"
 
 
 @dataclass(frozen=True)
@@ -414,7 +399,9 @@ def cross_check(p: TriangleParams, degree_bound: int = 24) -> ConsistencyReport:
     """Run the table decision and the rational oracle and compare.
 
     CONTRADICTION means the table said "no algebraic solution" while the
-    oracle produced a rational one; this must never happen.
+    oracle produced a rational one; this must never happen.  INCONCLUSIVE
+    means the oracle's search was cut by the degree bound, so it cannot
+    confirm the table.
     """
     verdict = decide_condition_ric(p)
     R = build_triangular_R(p)
@@ -423,6 +410,12 @@ def cross_check(p: TriangleParams, degree_bound: int = 24) -> ConsistencyReport:
         return ConsistencyReport(
             p, verdict, oracle, CONTRADICTION,
             "table reports no algebraic solution but a rational solution exists",
+        )
+    if not oracle.complete:
+        return ConsistencyReport(
+            p, verdict, oracle, INCONCLUSIVE,
+            f"oracle search cut at degree bound {degree_bound}: combos of higher "
+            "auxiliary degree were not searched",
         )
     if not verdict.holds and not oracle.found:
         note = (

@@ -1,9 +1,9 @@
 """Exact rational scalars and the extended value infinity.
 
 All arithmetic in the toolkit runs over Q, represented by
-fractions.Fraction, the tested reference, or by gmpy2.mpq when the optional
-gmpy2 extra is installed.  The two types hash and compare identically, so
-they can be mixed freely; ``Q`` is the constructor used everywhere.
+fractions.Fraction; ``Q`` is the constructor used everywhere.  Polynomials
+keep their own integer form (see polynomials.Poly) and build Q values only
+at their edge.
 
 ExtRational adds the single extra point "infinity" used for triangle
 parameters: inverse(inf) = 0, inverse(q) = 1/q, inverse(0) is an error.
@@ -13,29 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:
-    Q = Fraction
-
-Rational = Union[Fraction, "Q"]  # anything Q() accepts and returns
+Q = Fraction
 
 
 class ZeroParameter(ValueError):
     """A triangle parameter slot holds 0, which has no inverse."""
 
 
-def is_integer(q) -> bool:
-    return q.denominator == 1
-
-
 def is_odd_integer(q) -> bool:
     return q.denominator == 1 and q.numerator % 2 != 0
 
 
-def rational_sqrt(q) -> Optional[Rational]:
+def rational_sqrt(q) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None if irrational.
 
     Returns None (rather than raising) for negative input as well, so the
@@ -65,7 +56,7 @@ def _isqrt_exact(n: int) -> Optional[int]:
 class ExtRational:
     """A rational number or the distinguished value infinity (value=None)."""
 
-    value: Optional[Rational]
+    value: Optional[Fraction]
 
     @staticmethod
     def of(x) -> "ExtRational":
@@ -81,7 +72,7 @@ class ExtRational:
         t = text.strip()
         if t.lower() == "inf":
             return INF
-        return ExtRational(Q(Fraction(t)))
+        return ExtRational(Q(t))
 
     @property
     def is_infinite(self) -> bool:

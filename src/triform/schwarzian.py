@@ -254,9 +254,7 @@ class Moebius:
         parts = text.split(",")
         if len(parts) != 4:
             raise ValueError(f"expected four comma-separated entries, got {text!r}")
-        from fractions import Fraction
-
-        return Moebius(*(Q(Fraction(p.strip())) for p in parts))
+        return Moebius(*(Q(p.strip()) for p in parts))
 
     def inverse(self) -> "Moebius":
         return Moebius(self.d, -self.b, -self.c, self.a)
@@ -319,16 +317,19 @@ def moebius_pullback(R: RatFunc, m: Moebius) -> RatFunc:
         den = den * L_pow[e]
     else:
         num = num * L_pow[-e]
-    lead = den.leading
-    return RatFunc._raw(num.scale(det * det / lead), den.scale(1 / lead))
+    # num and den carry the factors N.den and D.den of the homogenisation
+    lead = Q(den.ints[-1] * N.den, den.den * D.den)
+    return RatFunc._raw(num.scale(det * det / lead), den.monic())
 
 
 def _homogenize(P: Poly, M: Poly, L_pow) -> Poly:
-    """sum p_k M^k L^(deg P - k), by Horner's rule in M."""
-    n = P.degree
-    acc = Poly.const(P.leading)
+    """P.den * sum p_k M^k L^(deg P - k), by Horner's rule in M on the
+    integer numerators of P."""
+    ints = P.ints
+    n = len(ints) - 1
+    acc = Poly((ints[-1],))
     for k in range(n - 1, -1, -1):
-        acc = acc * M + L_pow[n - k].scale(P.coeffs[k])
+        acc = acc * M + L_pow[n - k].scale(ints[k])
     return acc
 
 

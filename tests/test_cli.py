@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import time
 
 import pytest
 
@@ -136,6 +137,46 @@ class TestInputChecks:
         code, text = run(["series-check", "--expr", expr])
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestBoundedSearch:
+    """A search cut by --degree-bound is not called exhaustive: with bound 0
+    the oracle misses u = (2y^2 - 2y + 1/4)/(y^3 - 3/2y^2 + 1/2y), which
+    bound 1 finds."""
+
+    def test_oracle_states_the_cut(self):
+        code, doc = run_json(["oracle", "--triangle", "1/3,inf,inf", "--degree-bound", "0"])
+        assert code == 0
+        assert doc["oracle"]["solutions"] == []
+        assert "exhaustive" not in doc["conclusion"]
+        assert "--degree-bound" in doc["conclusion"]
+        code, doc = run_json(["oracle", "--triangle", "1/3,inf,inf", "--degree-bound", "1"])
+        assert doc["oracle"]["solutions"] == [
+            "(2*y^2 - 2*y + 1/4)/(y^3 - 3/2*y^2 + 1/2*y)"
+        ]
+        assert doc["conclusion"] == "1 rational solution(s)"
+
+    def test_analyze_is_inconclusive(self):
+        argv = ["analyze", "--triangle", "1/3,inf,inf", "--oracle", "--degree-bound", "0"]
+        code, doc = run_json(argv)
+        assert code == 0
+        assert doc["oracle"]["consistency"] == "INCONCLUSIVE"
+        assert "exhaustive" not in doc["oracle"]["note"]
+        code, text = run(argv)
+        assert code == 0 and "consistency: INCONCLUSIVE" in text
+
+    def test_complete_search_keeps_its_wording(self):
+        _, doc = run_json(["oracle", "--triangle", "2,3,7"])
+        assert doc["conclusion"] == "no rational solutions (rational branch exhaustive)"
+
+
+def test_large_rational_pole_is_fast():
+    # the rational-root search is polynomial in the bit size of the pole
+    start = time.perf_counter()
+    code, doc = run_json(["oracle", "--expr", "1/(y^2*(y-1)^2*(y-123456789012345678901)^2)"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "IrrationalLocalExponent at pole 0" in doc["oracle"]["notes"][0]
 
 
 def test_reused_parser_keeps_no_state(capsys):

@@ -1,7 +1,9 @@
 """Exact-arithmetic substrate: polynomials, rational functions, partial
 fractions."""
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from triform.polynomials import (
     PoleEvaluation,
     Poly,
     RatFunc,
+    linear_factorization,
     partial_fractions,
     rational_roots,
 )
@@ -62,6 +65,45 @@ class TestPoly:
         # y^2 (y-1)^2 (y+3/2)
         p = (Poly((0, 1)) ** 2) * (Poly((-1, 1)) ** 2) * Poly((Q(3, 2), 1))
         assert rational_roots(p) == [(Q(-3, 2), 1), (Q(0), 2), (Q(1), 2)]
+
+
+class TestRationalRoots:
+    def test_products_of_known_factors(self, rng):
+        # roots with large numerators and denominators, times irreducible
+        # quadratics (y^2 - k, k not a square) that contribute no root
+        for _ in range(150):
+            roots = {}
+            for _ in range(rng.randint(0, 4)):
+                r = Q(rng.randint(-10**rng.randint(1, 25), 10**25), rng.randint(1, 10**rng.randint(1, 12)))
+                roots[r] = roots.get(r, 0) + rng.randint(1, 3)
+            p = Poly.const(Q(rng.choice((-7, -1, 3)), rng.choice((1, 5))))
+            for r, m in roots.items():
+                p = p * Poly.linear(r) ** m
+            expected = sorted(roots.items())
+            assert rational_roots(p) == expected
+            if rng.random() < 0.5:
+                p = p * Poly((-rng.choice((2, 3, 5, 6, 7)), 0, 1))
+                assert rational_roots(p) == expected
+                with pytest.raises(NotSplitOverRationals):
+                    linear_factorization(p)
+            else:
+                assert linear_factorization(p) == expected
+
+    def test_lift_reaches_twice_the_root_bound(self):
+        # y - r lifts from 3 through 9, 81, 6561, ...; the residue mod m
+        # names r only once m > 2|r|, so roots just past m/2 need one more lift
+        for m in (9, 81, 6561, 43046721):
+            for r in (m // 2, m // 2 + 1, m - 1, -(m // 2 + 1), 4 * m):
+                assert rational_roots(Poly.linear(r)) == [(Q(r), 1)]
+
+    def test_large_root_is_fast(self):
+        # trial division over the divisors of the constant term would take
+        # about sqrt(1.2e20) steps
+        n = 123456789012345678901
+        p = Poly((0, 0, 1)) * Poly.linear(1) ** 2 * Poly.linear(n) ** 2
+        start = time.perf_counter()
+        assert rational_roots(p) == [(Q(0), 2), (Q(1), 2), (Q(n), 2)]
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRatFuncExamples:
@@ -188,6 +230,175 @@ class TestReducedArithmetic:
             g = a.gcd(b)
             assert g == euclid(a, b)
             assert g.is_zero or g.leading == 1
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+class TestIntegerKernels:
+    """Each kernel on integer numerators against the schoolbook algorithm
+    on tuples of Fraction coefficients that it replaced."""
+
+    DENS = (1, 2, 3, 6, 35, 2**31 - 1, 10**12 + 39)
+
+    @staticmethod
+    def ref_add(a, b):
+        out = [Q(0)] * max(len(a), len(b))
+        for i, c in enumerate(a):
+            out[i] += c
+        for i, c in enumerate(b):
+            out[i] += c
+        return _strip(out)
+
+    @staticmethod
+    def ref_mul(a, b):
+        if not a or not b:
+            return ()
+        out = [Q(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _strip(out)
+
+    @staticmethod
+    def ref_divmod(a, b):
+        rem, db = list(a), len(b) - 1
+        if len(rem) <= db:
+            return (), _strip(a)
+        quot = [Q(0)] * (len(rem) - db)
+        for k in range(len(rem) - db - 1, -1, -1):
+            c = rem[k + db] / b[-1]
+            quot[k] = c
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+        return _strip(quot), _strip(rem[:db])
+
+    @staticmethod
+    def ref_eval(a, x):
+        acc = Q(0)
+        for c in reversed(a):
+            acc = acc * x + c
+        return acc
+
+    @staticmethod
+    def ref_monic(a):
+        return tuple(c / a[-1] for c in a) if a else ()
+
+    @classmethod
+    def ref_gcd(cls, a, b):
+        while b:
+            a, b = b, cls.ref_divmod(a, b)[1]
+        return cls.ref_monic(a)
+
+    def operand(self, rng, den=None, max_deg=5):
+        """Zero about one time in seven; a negative leading coefficient
+        about half the time; coefficients over den, or mixed denominators."""
+        deg = rng.randint(-1, max_deg)
+        d = den or rng.choice(self.DENS)
+        cs = [Q(rng.randint(-30, 30), d if rng.random() < 0.7 else rng.randint(1, 9))
+              for _ in range(deg + 1)]
+        if cs and rng.random() < 0.5:
+            cs[-1] = -abs(cs[-1]) or Q(-1, d)
+        return Poly(cs)
+
+    @staticmethod
+    def assert_canonical(p):
+        assert p.den > 0
+        assert p.ints == () and p.den == 1 or p.ints[-1] != 0
+        assert math.gcd(p.den, *p.ints) == 1
+        assert p.coeffs == tuple(Q(n, p.den) for n in p.ints)
+
+    def pairs(self, rng, count):
+        for i in range(count):
+            den = rng.choice(self.DENS) if i % 2 else None  # equal, then mixed
+            yield self.operand(rng, den), self.operand(rng, den)
+
+    def test_ring_operations(self, rng):
+        for p, q in self.pairs(rng, 600):
+            a, b = p.coeffs, q.coeffs
+            for got, ref in (
+                (p + q, self.ref_add(a, b)),
+                (p - q, self.ref_add(a, tuple(-c for c in b))),
+                (-p, tuple(-c for c in a)),
+                (p * q, self.ref_mul(a, b)),
+            ):
+                self.assert_canonical(got)
+                assert got.coeffs == ref
+
+    def test_scale_derivative_monic(self, rng):
+        for p, _ in self.pairs(rng, 400):
+            a = p.coeffs
+            c = Q(rng.randint(-9, 9), rng.choice(self.DENS))
+            for got, ref in (
+                (p.scale(c), _strip(x * c for x in a)),
+                (p.scale(rng.randint(-3, 3)), None),
+                (p.derivative(), tuple(k * x for k, x in enumerate(a) if k)),
+                (p.monic(), self.ref_monic(a)),
+            ):
+                self.assert_canonical(got)
+                if ref is not None:
+                    assert got.coeffs == ref
+
+    def test_divmod(self, rng):
+        constant_divisors = 0
+        for p, q in self.pairs(rng, 600):
+            if q.is_zero:
+                with pytest.raises(ZeroDivisionError):
+                    divmod(p, q)
+                continue
+            constant_divisors += q.degree == 0
+            quot, rem = divmod(p, q)
+            self.assert_canonical(quot)
+            self.assert_canonical(rem)
+            assert (quot.coeffs, rem.coeffs) == self.ref_divmod(p.coeffs, q.coeffs)
+        assert constant_divisors > 20
+
+    def test_gcd(self, rng):
+        for p, q in self.pairs(rng, 300):
+            common = self.operand(rng, max_deg=2)
+            p, q = p * common, q * common
+            g = p.gcd(q)
+            self.assert_canonical(g)
+            assert g.coeffs == self.ref_gcd(p.coeffs, q.coeffs)
+
+    def test_evaluation_at_rationals(self, rng):
+        for p, _ in self.pairs(rng, 400):
+            for x in (
+                Q(rng.randint(-10**15, 10**15), rng.randint(1, 10**15)),
+                Q(rng.randint(-5, 5)),
+                rng.randint(-5, 5),
+            ):
+                got = p(x)
+                assert type(got) is Q
+                assert got == self.ref_eval(p.coeffs, x)
+
+    def test_canonical_form_is_route_independent(self, rng):
+        for p, q in self.pairs(rng, 300):
+            if q.is_zero:
+                continue
+            c = Q(rng.randint(1, 9), rng.choice(self.DENS))
+            routes = [
+                Poly(p.coeffs),
+                Poly(list(p.ints)).scale(Q(1, p.den)),
+                (p * q) // q,
+                (p + q) - q,
+                -(-p),
+                p.scale(c).scale(1 / c),
+                p.monic().scale(p.leading) if not p.is_zero else p,
+            ]
+            for r in routes:
+                assert (r.ints, r.den) == (p.ints, p.den)
+                assert hash(r) == hash(p)
+
+    def test_canonical_examples(self):
+        assert (Poly((Q(1, 2), Q(-3, 4))).ints, Poly((Q(1, 2), Q(-3, 4))).den) == ((2, -3), 4)
+        assert (Poly((Q(2, 6), Q(4, 6), 0)).ints, Poly((Q(2, 6), Q(4, 6))).den) == ((1, 2), 3)
+        assert (Poly((2, 4)).ints, Poly((2, 4)).den) == ((2, 4), 1)
+        assert (Poly(()).ints, Poly((0, 0)).den) == ((), 1)
 
 
 class TestEvaluate:

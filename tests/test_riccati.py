@@ -8,6 +8,7 @@ from triform.polynomials import Poly, RatFunc, partial_fractions
 from triform.riccati import (
     CONSISTENT,
     CONTRADICTION,
+    INCONCLUSIVE,
     NonRationalPoles,
     RiccatiEq,
     UnsupportedAtInfinity,
@@ -15,7 +16,6 @@ from triform.riccati import (
     cross_check,
     half_riccati_residual,
     rational_solutions,
-    to_linear_ode,
 )
 from triform.scalars import Q
 from triform.schwarzian import TriangleParams, build_triangular_R
@@ -37,7 +37,7 @@ class TestCorrespondence:
     def test_log_derivative_transfer(self):
         # v = y solves v'' = 0, so u = v'/v = 1/y solves the R = 0 Riccati
         e = RiccatiEq(RatFunc.zero())
-        assert to_linear_ode(e).residual(Y).is_zero
+        assert (Y.derivative().derivative() + e.half_R * Y).is_zero
         assert e.is_solution(rf((1,), (0, 1)))
 
     def test_transfer_random_v(self, rng):
@@ -95,7 +95,8 @@ class TestOracleSolutions:
         res = rational_solutions(e)
         assert rf((2,), (0, 1)) in res.solutions
         # companion check: v = y^2 solves v'' - (2/y^2) v = 0
-        assert to_linear_ode(e).residual(Y * Y).is_zero
+        v = Y * Y
+        assert (v.derivative().derivative() + e.half_R * v).is_zero
 
     def test_zero_coefficient_gives_family(self):
         # R = 0: u = 1/(y - c) for every c, a movable family plus u = 0
@@ -118,6 +119,19 @@ class TestOracleSolutions:
         assert any(
             "exceeds bound" in entry["status"] for entry in res.certificate.combos
         )
+
+    def test_completeness(self):
+        # 1/3,inf,inf has a solution with deg P = 1; a bound of 0 cuts it
+        e = triangular_riccati("1/3,inf,inf")
+        cut = rational_solutions(e, degree_bound=0)
+        assert cut.solutions == () and not cut.complete
+        full = rational_solutions(e, degree_bound=1)
+        assert len(full.solutions) == 1 and full.complete
+        assert rational_solutions(triangular_riccati("2,3,7"), degree_bound=0).complete
+        # a family is found and recorded: it does not make the search incomplete
+        family = rational_solutions(RiccatiEq(RatFunc.zero()))
+        assert family.certificate.families and family.complete
+        assert not rational_solutions(RiccatiEq(RatFunc.zero()), degree_bound=0).complete
 
     def test_irrational_exponent_short_circuits(self):
         # kappa = 1 at the pole: e^2 - e + 1 has no rational root
@@ -164,7 +178,17 @@ class TestCrossCheck:
         assert report.status == CONSISTENT
 
     def test_contradiction_constant_distinct(self):
-        assert CONSISTENT != CONTRADICTION
+        assert len({CONSISTENT, CONTRADICTION, INCONCLUSIVE}) == 3
+
+    def test_cut_search_is_inconclusive(self):
+        p = TriangleParams.parse("1/3,inf,inf")
+        report = cross_check(p, degree_bound=0)
+        assert report.status == INCONCLUSIVE
+        assert "degree bound 0" in report.note
+        assert "exhaustive" not in report.note
+        assert cross_check(p, degree_bound=1).status == CONSISTENT
+        # 1,inf,inf has its solution at deg P = 0: nothing is cut
+        assert cross_check(TriangleParams.parse("1,inf,inf"), degree_bound=0).status == CONSISTENT
 
 
 class TestLocalData:
