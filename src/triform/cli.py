@@ -2,7 +2,10 @@
 
 Verbs:
   analyze       full verdict pipeline for a parameter triple or expression
-  sweep         decide every hyperbolic integer triple up to a bound
+  sweep         decide every hyperbolic integer triple up to a bound; with
+                --cross-check, also run the rational oracle on each triple
+                and report the count of each consistency status under
+                "oracle" (any CONTRADICTION exits 3)
   series-check  Puiseux leading-term analysis for a coefficient function
   oracle        rational solutions of the associated Riccati equation
 
@@ -22,14 +25,13 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from . import kimura, puiseux, riccati, schwarzian
+from . import kimura, puiseux, riccati
 from .parser import DivisionByZeroConstant, ExprSyntaxError, parse_ratfunc
 from .polynomials import RatFunc
-from .scalars import Q, ZeroParameter
+from .scalars import Q, ZeroParameter, parse_q
 from .schwarzian import (
     Moebius,
     NotTriangular,
-    SYMBOLIC_INVERSE_SQUARE,
     TriangleParams,
     build_triangular_R,
     moebius_pullback,
@@ -172,9 +174,21 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    if args.bound < 2:
-        raise InputError("--bound must be at least 2")
-    results = _run_sweep(args.bound, args.jobs)
+    statuses = dict.fromkeys((riccati.CONSISTENT, riccati.INCONCLUSIVE, riccati.CONTRADICTION), 0)
+    contradictions = []
+
+    def cross_checked(p):
+        report = riccati.cross_check(p, args.degree_bound)
+        statuses[report.status] += 1
+        if report.status == riccati.CONTRADICTION:
+            contradictions.append(str(p))
+        return report.verdict
+
+    decide = cross_checked if args.cross_check else None
+    try:
+        results = kimura.hyperbolic_integer_sweep(args.bound, decide)
+    except kimura.BoundTooSmall as exc:
+        raise InputError(f"bad --bound value: {exc}") from exc
     bad = [(p, v) for p, v in results if not v.holds]
     doc = {
         "input": {"bound": args.bound},
@@ -193,38 +207,23 @@ def cmd_sweep(args, out) -> int:
         ),
         "citations": [CITATIONS["table"], CITATIONS["conclusion"]],
     }
+    if args.cross_check:
+        doc["input"]["degree_bound"] = args.degree_bound
+        doc["oracle"] = {"statuses": statuses, "contradictions": contradictions}
+        doc["citations"].insert(1, CITATIONS["liouvillian"])
     if args.full:
         doc["table"] = [
             {"triangle": str(p), "outcome": v.outcome} for p, v in results
         ]
     _emit(doc, args, out)
-    return 0 if not bad else 3
-
-
-def _run_sweep(bound: int, jobs: int):
-    triples = list(kimura.hyperbolic_integer_triples(bound))
-    if jobs <= 1:
-        return [(p, kimura.decide_condition_ric(p)) for p in triples]
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(triples) // (jobs * 8))
-    parts = [triples[i : i + chunk] for i in range(0, len(triples), chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        merged = []
-        for block in pool.map(_decide_block, parts):
-            merged.extend(block)
-    return merged
-
-
-def _decide_block(triples):
-    return [(p, kimura.decide_condition_ric(p)) for p in triples]
+    return 0 if not bad and not contradictions else 3
 
 
 def cmd_series_check(args, out) -> int:
     lambda0 = Q(0)
     if args.lambda0 is not None:
         try:
-            lambda0 = Q(args.lambda0)
+            lambda0 = parse_q(args.lambda0)
         except ValueError as exc:
             raise InputError(f"bad --lambda0 value: {exc}") from exc
     if args.triangle is None and args.expr is None:
@@ -243,6 +242,8 @@ def cmd_series_check(args, out) -> int:
             a0 = parse_ratfunc(args.a0)
         except (ExprSyntaxError, DivisionByZeroConstant, ValueError) as exc:
             raise InputError(f"bad --a0 value: {exc}") from exc
+        if a0.is_zero:
+            raise InputError("bad --a0 value: the leading coefficient must be nonzero")
         echo["a0"] = args.a0
     elif lambda0 == 0:
         # try the oracle: a rational Riccati solution u gives a0 = 2u
@@ -252,8 +253,9 @@ def cmd_series_check(args, out) -> int:
             )
         except (riccati.NonRationalPoles, riccati.UnsupportedAtInfinity) as exc:
             raise InputError(str(exc)) from exc
-        if found.solutions:
-            a0 = found.solutions[0].scale(Q(2))
+        nonzero = [u for u in found.solutions if not u.is_zero]
+        if nonzero:  # u = 0 gives no leading term
+            a0 = nonzero[0].scale(Q(2))
 
     report = puiseux.leading_constraints(lambda0, a0, R)
     doc = {
@@ -359,7 +361,12 @@ def _human(doc: dict) -> str:
         if kim["witness"] is not None:
             lines.append(f"witness:     {kim['witness']}")
     orc = doc.get("oracle")
-    if orc is not None:
+    if orc is not None and "statuses" in orc:
+        counts = ", ".join(f"{n} {s}" for s, n in orc["statuses"].items())
+        lines.append(f"oracle:      {counts}")
+        if orc["contradictions"]:
+            lines.append(f"contradicted: {', '.join(orc['contradictions'])}")
+    elif orc is not None:
         sols = orc.get("solutions", [])
         lines.append(
             f"oracle:      {len(sols)} rational solution(s)"
@@ -420,8 +427,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="decide all hyperbolic integer triples")
     _add_common(s, with_input=False)
     s.add_argument("--bound", type=int, default=100, help="largest finite entry")
-    s.add_argument("--jobs", type=int, default=1, help="worker processes")
     s.add_argument("--full", action="store_true", help="include the full table")
+    s.add_argument(
+        "--cross-check",
+        action="store_true",
+        help="also run the rational oracle on every triple and compare",
+    )
     s.set_defaults(func=cmd_sweep)
 
     c = sub.add_parser("series-check", help="Puiseux leading-term analysis")

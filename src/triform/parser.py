@@ -16,6 +16,7 @@ point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -243,12 +244,62 @@ def print_expr(node: ExprAST) -> str:
 
 # -- lowering --------------------------------------------------------------------
 
+# Declared size limits of a lowered expression (exit 2 in the CLI): degree
+# at most MAX_DEGREE, integers of at most MAX_BITS bits, which also keeps
+# them under the 4300 digits Python will print.
+MAX_DEGREE = 1000
+MAX_BITS = 10_000
+
+
+class ExpressionTooLarge(ValueError):
+    pass
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _height(f: RatFunc) -> int:
+    """The largest integer of f, in absolute value."""
+    return max(map(abs, f.num.ints + f.den.ints + (f.num.den, f.den.den)))
+
+
+def _check(node: ExprAST, what: str, value: int, limit: int) -> None:
+    if value > limit:
+        text = print_expr(node)
+        raise ExpressionTooLarge(f"{text} may reach {what} {value}, above the limit {limit}")
+
+
+def _lower_pow(node: Pow, base: RatFunc) -> RatFunc:
+    """Checked before expanding: the integers of P**e, for an integer P of
+    degree <= k and height <= h, are at most ((k + 1) * h)**e."""
+    k, e = max(base.num.degree, base.den.degree, 0), node.exponent
+    _check(node, "degree", k * e, MAX_DEGREE)
+    _check(node, "integer bits", ((k + 1) * _height(base) - 1).bit_length() * e, MAX_BITS)
+    return base**e
+
+
+def _lower_binop(node: BinOp, left: RatFunc, right: RatFunc) -> RatFunc:
+    """The degree bound of a/b op c/d is checked before any product or gcd
+    starts, the integers on the result.  a, b, c, d count coefficients
+    (degree + 1), so a bound on the sum of two degrees is 2 less."""
+    a, b = len(left.num.ints), len(left.den.ints)
+    c, d = len(right.num.ints), len(right.den.ints)
+    plus = (a + d, c + b, b + d)
+    bounds = {"+": plus, "-": plus, "*": (a + c, b + d), "/": (a + d, b + c)}
+    _check(node, "degree", max(bounds[node.op]) - 2, MAX_DEGREE)
+    if node.op == "/" and right.is_zero:
+        raise DivisionByZeroConstant(f"division by zero in {print_expr(node)}")
+    result = _OPERATORS[node.op](left, right)
+    _check(node, "integer bits", _height(result).bit_length(), MAX_BITS)
+    return result
+
 
 def to_ratfunc(node: ExprAST, variable: Optional[str] = None) -> RatFunc:
     """Lower an AST into an exact rational function of its single variable.
 
     Raises ValueError when two distinct names occur, DivisionByZeroConstant
-    when a divisor is identically zero.
+    when a divisor is identically zero, ExpressionTooLarge past the size
+    limits.
     """
     names = set()
 
@@ -273,24 +324,15 @@ def to_ratfunc(node: ExprAST, variable: Optional[str] = None) -> RatFunc:
 
     def lower(n: ExprAST) -> RatFunc:
         if isinstance(n, Num):
+            _check(n, "integer bits", n.value.bit_length(), MAX_BITS)
             return RatFunc.const(Q(n.value))
         if isinstance(n, Var):
             return RatFunc.variable()
         if isinstance(n, Neg):
             return -lower(n.operand)
         if isinstance(n, Pow):
-            return lower(n.base) ** n.exponent
-        left = lower(n.left)
-        right = lower(n.right)
-        if n.op == "+":
-            return left + right
-        if n.op == "-":
-            return left - right
-        if n.op == "*":
-            return left * right
-        if right.is_zero:
-            raise DivisionByZeroConstant(f"division by zero in {print_expr(n)}")
-        return left / right
+            return _lower_pow(n, lower(n.base))
+        return _lower_binop(n, lower(n.left), lower(n.right))
 
     return lower(node)
 

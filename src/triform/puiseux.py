@@ -88,12 +88,6 @@ class PuiseuxSeries:
         return self.terms[0][0]
 
     @property
-    def leading_coefficient(self) -> RatFunc:
-        if not self.terms:
-            raise ValueError("zero series has no leading term")
-        return self.terms[0][1]
-
-    @property
     def exponent_denominator(self) -> int:
         """Common denominator of all exponents (1 for the zero series)."""
         d = 1

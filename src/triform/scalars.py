@@ -11,6 +11,7 @@ parameters: inverse(inf) = 0, inverse(q) = 1/q, inverse(0) is an error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,8 +23,21 @@ class ZeroParameter(ValueError):
     """A triangle parameter slot holds 0, which has no inverse."""
 
 
-def is_odd_integer(q) -> bool:
-    return q.denominator == 1 and q.numerator % 2 != 0
+# Fraction("1e<n>") builds 10**n, unbounded in time and memory for a long
+# exponent; input text may not write a power of ten above this.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
+
+
+def parse_q(text: str) -> Fraction:
+    """Q(text) for input text; any bad text, 1/0 included, raises ValueError."""
+    m = _EXPONENT.search(text)
+    if m and abs(int(m.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"exponent in {text!r} is above the limit {MAX_EXPONENT}")
+    try:
+        return Q(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def rational_sqrt(q) -> Optional[Fraction]:
@@ -72,7 +86,7 @@ class ExtRational:
         t = text.strip()
         if t.lower() == "inf":
             return INF
-        return ExtRational(Q(t))
+        return ExtRational(parse_q(t))
 
     @property
     def is_infinite(self) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .polynomials import NEG_INF, Poly, RatFunc, render_poly
-from .scalars import INF, ExtRational, Q, ZeroParameter, rational_sqrt
+from .scalars import INF, ExtRational, Q, ZeroParameter, parse_q, rational_sqrt
 
 
 class ConstantInput(ValueError):
@@ -246,15 +246,11 @@ class Moebius:
             raise SingularMoebius(f"ad - bc = 0 in {self}")
 
     @staticmethod
-    def identity() -> "Moebius":
-        return Moebius(1, 0, 0, 1)
-
-    @staticmethod
     def parse(text: str) -> "Moebius":
         parts = text.split(",")
         if len(parts) != 4:
             raise ValueError(f"expected four comma-separated entries, got {text!r}")
-        return Moebius(*(Q(p.strip()) for p in parts))
+        return Moebius(*(parse_q(p) for p in parts))
 
     def inverse(self) -> "Moebius":
         return Moebius(self.d, -self.b, -self.c, self.a)

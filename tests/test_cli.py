@@ -1,6 +1,7 @@
 """Command-line interface: verbs, JSON shape, exit codes."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import time
@@ -126,6 +127,44 @@ class TestInputChecks:
         assert code == 2 and text == ""
         assert "--degree-bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--triangle", "1/0,2,3"],
+            ["analyze", "--triangle", "1e5000,2,3"],
+            ["analyze", "--triangle", "2,3,7", "--moebius", "1e-2000,0,0,1"],
+            ["series-check", "--lambda0", "1/0"],
+            ["series-check", "--triangle", "2,3,7", "--a0", "y-y"],
+        ],
+    )
+    def test_bad_number_exits_2(self, argv, capsys):
+        # Fraction("1/0") raises ZeroDivisionError and Fraction("1e5000")
+        # builds 10**5000; a zero a0 is no leading term
+        code, text = run(argv)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: bad --")
+
+    def test_series_check_of_zero_skips_the_zero_solution(self):
+        # R = 0: the oracle's first solution is u = 0, which gives no a0
+        code, doc = run_json(["series-check", "--lambda0", "0"])
+        assert code == 0
+        assert doc["series"]["a0"] is None
+
+    @pytest.mark.parametrize(
+        "expr", ["(y+1)^3000", "((y+1)^60)^60", "2^20000", "(y+1)^999*(y+1)^999"]
+    )
+    def test_oversized_expr_exits_2_fast(self, expr, capsys):
+        start = time.perf_counter()
+        code, _ = run(["analyze", "--expr", expr])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert "above the limit" in capsys.readouterr().err
+
+    def test_expr_under_the_limit_runs(self):
+        code, doc = run_json(["analyze", "--expr", "(y+1)^600"])
+        assert code == 0
+        assert doc["conclusion"] == "NotTriangular"
+
     def test_zero_degree_bound_accepted(self):
         code, _ = run(["oracle", "--triangle", "2,3,7", "--degree-bound", "0"])
         assert code == 0
@@ -240,14 +279,86 @@ class TestSweep:
         assert rows["(2,3,inf)"] == "ConditionRicHolds"
         assert all(v == "ConditionRicHolds" for v in rows.values())
 
-    def test_jobs_flag_matches_serial(self):
-        _, serial = run_json(["sweep", "--bound", "8", "--full"])
-        _, parallel = run_json(["sweep", "--bound", "8", "--full", "--jobs", "2"])
-        assert serial["table"] == parallel["table"]
-
     def test_bad_bound_exits_2(self):
         code, _ = run(["sweep", "--bound", "1"])
         assert code == 2
+
+    # sha256 of `sweep --bound B --json [--full]` before --cross-check existed
+    @pytest.mark.parametrize(
+        "bound, full, digest",
+        [
+            (2, False, "ccfb2fd081b0f2d70c613c61e96a78aa1cf3621c548c83a735d3898c3670cd2d"),
+            (2, True, "9c2f8533da2334514ca912698e2b049c79c9cdea9c3393412322247d743ab579"),
+            (9, False, "ec1c5f4480351a7e38c9606b35fb8368b83dfd73a3da0ede407c3e59df6032f3"),
+            (9, True, "01978db1e4daaefeac646287e7fbb53b0b4a248983278166fbb91446e80c606d"),
+            (30, False, "464a5eea9e3bf305678460a9184659296514daf04c8db4fdd2e249d335cad360"),
+            (30, True, "6de84affbd189bd88593d15707f49832b0a171ec347c6c18d12b32f987ab96ba"),
+        ],
+    )
+    def test_plain_sweep_bytes_unchanged(self, bound, full, digest):
+        argv = ["sweep", "--bound", str(bound), "--json"] + (["--full"] if full else [])
+        code, text = run(argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestSweepCrossCheck:
+    @pytest.mark.parametrize("bound", [2, 7, 12])
+    def test_same_outcomes_as_plain_sweep(self, bound):
+        code, plain = run_json(["sweep", "--bound", str(bound), "--full"])
+        checked_code, checked = run_json(
+            ["sweep", "--bound", str(bound), "--full", "--cross-check"]
+        )
+        assert checked_code == code == 0
+        assert checked["table"] == plain["table"]
+        assert checked["kimura"] == plain["kimura"]
+        assert checked["conclusion"] == plain["conclusion"]
+        statuses = checked["oracle"]["statuses"]
+        assert list(statuses) == ["CONSISTENT", "INCONCLUSIVE", "CONTRADICTION"]
+        assert sum(statuses.values()) == len(plain["table"])
+        assert statuses["CONSISTENT"] == len(plain["table"])
+        assert checked["oracle"]["contradictions"] == []
+
+    @pytest.mark.parametrize("triangle", ["(2,3,7)", "(3,4,inf)", "(inf,inf,inf)"])
+    def test_contradiction_exits_3_and_names_the_triple(self, triangle, monkeypatch):
+        real = riccati.cross_check
+
+        def contradicting(p, degree_bound=24):
+            report = real(p, degree_bound)
+            if str(p) == triangle:
+                return dataclasses.replace(report, status=riccati.CONTRADICTION)
+            return report
+
+        monkeypatch.setattr(riccati, "cross_check", contradicting)
+        code, doc = run_json(["sweep", "--bound", "7", "--cross-check"])
+        assert code == 3
+        assert doc["oracle"]["contradictions"] == [triangle]
+        assert doc["oracle"]["statuses"]["CONTRADICTION"] == 1
+        code, text = run(["sweep", "--bound", "7", "--cross-check"])
+        assert code == 3 and f"contradicted: {triangle}" in text
+
+    @pytest.mark.parametrize("degree_bound", [0, 3, 24])
+    def test_degree_bound_reaches_the_oracle(self, degree_bound, monkeypatch):
+        real = riccati.cross_check
+        seen = set()
+
+        def recording(p, degree_bound=24):
+            seen.add(degree_bound)
+            return real(p, degree_bound)
+
+        monkeypatch.setattr(riccati, "cross_check", recording)
+        code, doc = run_json(
+            ["sweep", "--bound", "5", "--cross-check", "--degree-bound", str(degree_bound)]
+        )
+        assert code == 0
+        assert seen == {degree_bound}
+        assert doc["input"] == {"bound": 5, "degree_bound": degree_bound}
+
+    def test_text_reports_the_status_counts(self):
+        code, text = run(["sweep", "--bound", "5", "--cross-check"])
+        assert code == 0
+        assert "oracle:      25 CONSISTENT, 0 INCONCLUSIVE, 0 CONTRADICTION" in text
+        assert "rational solution" not in text
 
 
 class TestOracle:

@@ -21,7 +21,7 @@ from triform.kimura import (
     hyperbolic_integer_triples,
     verify_witness,
 )
-from triform.scalars import INF, ExtRational, Q, is_odd_integer
+from triform.scalars import INF, ExtRational, Q
 from triform.schwarzian import TriangleParams
 
 P = TriangleParams.parse
@@ -213,7 +213,7 @@ def reference_condition_two(p):
     x0, x1, x2 = p.inverses()
     for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)):
         s = signs[0] * x0 + signs[1] * x1 + signs[2] * x2
-        if is_odd_integer(s):
+        if s.denominator == 1 and s.numerator % 2:
             return OddSumWitness(signs, int(s))
     return None
 
