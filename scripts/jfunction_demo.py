@@ -8,7 +8,7 @@ shows the pullback, the recognizer undoing it, and the final verdict.
 """
 
 from triform.kimura import decide_condition_ric
-from triform.riccati import associate_riccati, rational_solutions
+from triform.riccati import RiccatiEq, rational_solutions
 from triform.schwarzian import (
     Moebius,
     TriangleParams,
@@ -35,7 +35,7 @@ def main() -> None:
     verdict = decide_condition_ric(p)
     print(f"table verdict   : {verdict.outcome}")
 
-    oracle = rational_solutions(associate_riccati(R))
+    oracle = rational_solutions(RiccatiEq(R))
     print(f"rational Riccati solutions: {len(oracle.solutions)} (expected 0)")
     print(
         "conclusion      : no algebraic Riccati solutions, hence no "

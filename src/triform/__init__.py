@@ -41,7 +41,6 @@ from .riccati import (
     ConsistencyReport,
     OracleResult,
     RiccatiEq,
-    associate_riccati,
     cross_check,
     rational_solutions,
 )

@@ -22,13 +22,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import List, Optional, Tuple
 
 from . import kimura, puiseux, riccati
-from .parser import DivisionByZeroConstant, ExprSyntaxError, parse_ratfunc
+from .parser import DivisionByZeroConstant, ExprSyntaxError, height, parse_ratfunc
 from .polynomials import RatFunc
-from .scalars import Q, ZeroParameter, parse_q
+from .scalars import MAX_BITS, Q, ZeroParameter, parse_q
 from .schwarzian import (
     Moebius,
     NotTriangular,
@@ -80,8 +81,27 @@ def _witness_json(w) -> Optional[dict]:
     return {"condition": 2, "signs": list(w.signs), "value": w.value}
 
 
+def _pullback_bits(R: RatFunc, m: Moebius) -> int:
+    """Predicted bit size of the integers of moebius_pullback(R, m), known
+    before it runs.  m is unchanged by scaling its entries, so clear them to
+    integers of absolute value at most h; the pullback multiplies R by
+    deg N + deg D + 2 + |e| linear factors of m (see moebius_pullback) and by
+    det^2 <= (2h)^4, each factor growing the integers by at most 2h."""
+    entries = (m.a, m.b, m.c, m.d)
+    scale = math.lcm(*(x.denominator for x in entries))
+    h = max(abs(x.numerator) * (scale // x.denominator) for x in entries)
+    n, k = len(R.num.ints), len(R.den.ints)
+    return height(R).bit_length() + (n + k + abs(4 + n - k) + 4) * (2 * h).bit_length()
+
+
+def _check_bits(option: str, what: str, bits: int) -> None:
+    if bits > MAX_BITS:
+        raise InputError(f"bad --{option} value: {what} {bits} bits, above the limit {MAX_BITS}")
+
+
 def _resolve_input(args) -> Tuple[Optional[TriangleParams], RatFunc, dict]:
-    """Build (params-if-known, R, input-echo) from --triangle/--expr."""
+    """Build (params-if-known, R, input-echo) from --triangle/--expr, with
+    the integers of R checked against MAX_BITS on every route."""
     if args.triangle is not None:
         try:
             params = TriangleParams.parse(args.triangle)
@@ -103,9 +123,12 @@ def _resolve_input(args) -> Tuple[Optional[TriangleParams], RatFunc, dict]:
             m = Moebius.parse(args.moebius)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad --moebius value: {exc}") from exc
+        _check_bits("moebius", "the pullback may reach integers of", _pullback_bits(R, m))
         R = moebius_pullback(R, m)
         params = None  # parameters must be re-recognized after the pullback
         echo["moebius"] = args.moebius
+    # blame the last option that shaped R
+    _check_bits(next(reversed(echo)), "R(y) has integers of", height(R).bit_length())
     return params, R, echo
 
 
@@ -249,7 +272,7 @@ def cmd_series_check(args, out) -> int:
         # try the oracle: a rational Riccati solution u gives a0 = 2u
         try:
             found = riccati.rational_solutions(
-                riccati.associate_riccati(R), degree_bound=args.degree_bound
+                riccati.RiccatiEq(R), degree_bound=args.degree_bound
             )
         except (riccati.NonRationalPoles, riccati.UnsupportedAtInfinity) as exc:
             raise InputError(str(exc)) from exc
@@ -290,7 +313,7 @@ def cmd_series_check(args, out) -> int:
 
 def cmd_oracle(args, out) -> int:
     params, R, echo = _resolve_input(args)
-    eq = riccati.associate_riccati(R)
+    eq = riccati.RiccatiEq(R)
     try:
         result = riccati.rational_solutions(eq, degree_bound=args.degree_bound)
     except (riccati.NonRationalPoles, riccati.UnsupportedAtInfinity) as exc:

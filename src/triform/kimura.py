@@ -228,7 +228,7 @@ def _condition_two_xs(xs) -> Optional[OddSumWitness]:
     total = n0 + n1 + n2
     for signs, s in zip(_SUM_SIGNS, (total, total - 2 * n0, total - 2 * n1, total - 2 * n2)):
         if s % (2 * D) == D:
-            return OddSumWitness(signs, int(s // D))
+            return OddSumWitness(signs, s // D)
     return None
 
 

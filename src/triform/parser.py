@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .polynomials import Poly, RatFunc
-from .scalars import Q
+from .scalars import MAX_BITS, Q
 
 
 class ExprSyntaxError(ValueError):
@@ -245,10 +245,8 @@ def print_expr(node: ExprAST) -> str:
 # -- lowering --------------------------------------------------------------------
 
 # Declared size limits of a lowered expression (exit 2 in the CLI): degree
-# at most MAX_DEGREE, integers of at most MAX_BITS bits, which also keeps
-# them under the 4300 digits Python will print.
+# at most MAX_DEGREE, integers of at most scalars.MAX_BITS bits.
 MAX_DEGREE = 1000
-MAX_BITS = 10_000
 
 
 class ExpressionTooLarge(ValueError):
@@ -258,7 +256,7 @@ class ExpressionTooLarge(ValueError):
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _height(f: RatFunc) -> int:
+def height(f: RatFunc) -> int:
     """The largest integer of f, in absolute value."""
     return max(map(abs, f.num.ints + f.den.ints + (f.num.den, f.den.den)))
 
@@ -274,7 +272,7 @@ def _lower_pow(node: Pow, base: RatFunc) -> RatFunc:
     degree <= k and height <= h, are at most ((k + 1) * h)**e."""
     k, e = max(base.num.degree, base.den.degree, 0), node.exponent
     _check(node, "degree", k * e, MAX_DEGREE)
-    _check(node, "integer bits", ((k + 1) * _height(base) - 1).bit_length() * e, MAX_BITS)
+    _check(node, "integer bits", ((k + 1) * height(base) - 1).bit_length() * e, MAX_BITS)
     return base**e
 
 
@@ -290,7 +288,7 @@ def _lower_binop(node: BinOp, left: RatFunc, right: RatFunc) -> RatFunc:
     if node.op == "/" and right.is_zero:
         raise DivisionByZeroConstant(f"division by zero in {print_expr(node)}")
     result = _OPERATORS[node.op](left, right)
-    _check(node, "integer bits", _height(result).bit_length(), MAX_BITS)
+    _check(node, "integer bits", height(result).bit_length(), MAX_BITS)
     return result
 
 

@@ -112,8 +112,8 @@ class Poly:
         return Q(self.ints[-1], self.den)
 
     def coeff(self, k: int):
-        cs = self.coeffs
-        return cs[k] if 0 <= k < len(cs) else _QZERO
+        ints = self.ints
+        return Q(ints[k], self.den) if 0 <= k < len(ints) else _QZERO
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.ints == other.ints and self.den == other.den

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .polynomials import RatFunc
+from .riccati import half_riccati_residual
 from .scalars import Q
 
 EXACT = float("-inf")  # cutoff sentinel: nothing is truncated
@@ -44,7 +45,7 @@ class PuiseuxSeries:
     __slots__ = ("terms", "cutoff")
 
     def __init__(self, terms: Iterable[Tuple[object, RatFunc]], cutoff=EXACT):
-        # normalize any -inf flavor (float, mpfr) to the shared sentinel
+        # normalize any float -inf to the shared sentinel
         cutoff = EXACT if cutoff == EXACT else Q(cutoff)
         merged = {}
         for exp, coeff in terms:
@@ -90,10 +91,7 @@ class PuiseuxSeries:
     @property
     def exponent_denominator(self) -> int:
         """Common denominator of all exponents (1 for the zero series)."""
-        d = 1
-        for exp, _ in self.terms:
-            d = d * int(exp.denominator) // math.gcd(d, int(exp.denominator))
-        return d
+        return math.lcm(*(exp.denominator for exp, _ in self.terms))
 
     def coefficient(self, exp) -> RatFunc:
         """Coefficient at the given exponent; raises below the cutoff."""
@@ -283,7 +281,7 @@ def leading_constraints(
         return ConstraintReport(lambda0, a0, Q(0), R, None, None, None, None)
     if a0 is None:
         return ConstraintReport(lambda0, None, None, None, None, None, None, None)
-    res = a0.derivative() + (a0 * a0).scale(Q(1, 2)) + R
+    res = half_riccati_residual(a0, R)
     ok = res.is_zero
     half = a0.scale(Q(1, 2)) if ok else None
     return ConstraintReport(lambda0, a0, None, None, None, res, ok, half)

@@ -21,9 +21,15 @@ auxiliary monic polynomial P with
     theta = sum of e_c/(y - c);
 
 each success gives u = theta + P'/P, verified by exact substitution before
-it is returned.  When the linear system for P is underdetermined the
-solutions form a family with movable constants; the family is recorded in
-the search certificate and representatives are not enumerated.
+it is returned.  As (1/2)R vanishes to order >= 2 at infinity, the
+operator on P maps y^j to degree at most j + deg(denominator) - 2, with top
+coefficient a multiple of I(j), the indicial polynomial at infinity; so the
+linear system for P is triangular, and P comes from a recurrence that fixes
+its coefficients one at a time from the top.  Where I has a second integer
+root k below d, p_k is a free constant; when no remaining equation fixes
+it, the solutions form a family with one movable constant, recorded in the
+search certificate with the representative p_k = 0, and its members are
+not enumerated.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from typing import List, Optional, Tuple
 
 from .kimura import KimuraVerdict, decide_condition_ric
 from .polynomials import (
-    NEG_INF,
     NotSplitOverRationals,
     Poly,
     RatFunc,
@@ -79,14 +84,10 @@ class RiccatiEq:
         return self.render()
 
 
-def associate_riccati(R: RatFunc) -> RiccatiEq:
-    return RiccatiEq(R)
-
-
 def half_riccati_residual(a: RatFunc, R: RatFunc) -> RatFunc:
     """Residual of da/dy + (1/2)a^2 + R = 0; a solves this iff a/2 solves
     the Riccati equation with coefficient (1/2)R."""
-    return a.derivative() + (a * a).scale(Q(1, 2)) + R
+    return a.derivative() + (a * a).scale(_HALF) + R
 
 
 @dataclass(frozen=True)
@@ -123,17 +124,13 @@ class OracleResult:
         return bool(self.solutions)
 
 
-def _indicial_roots(kappa) -> Optional[Tuple]:
-    """Rational roots of e^2 - e + kappa = 0, descending, or None."""
-    return _indicial_roots_of(kappa.numerator, kappa.denominator)
-
-
 # The oracle's memos are keyed on integers, not on Q values: hashing a
 # Fraction computes a modular inverse.  Their values are immutable tuples.
 # Both are bounded; the bound-100 sweep needs one denominator and about a
 # hundred kappas, since kappa at 0, 1 and inf is (1 - x^2)/4 for x = 1/n.
 @lru_cache(maxsize=256)
 def _indicial_roots_of(n: int, d: int) -> Optional[Tuple]:
+    """Rational roots of e^2 - e + n/d = 0, descending, or None."""
     disc = 1 - 4 * Q(n, d)
     s = rational_sqrt(disc)
     if s is None:
@@ -143,17 +140,13 @@ def _indicial_roots_of(n: int, d: int) -> Optional[Tuple]:
     return (hi,) if hi == lo else (hi, lo)
 
 
-def _denominator_poles(den: Poly) -> Tuple[Tuple, ...]:
-    """(pole, order, h) for each rational root of den, ascending.  At a
-    double root, den = (y - pole)^2 g and h = g(pole) = den''(pole)/2, a
-    Taylor coefficient, so the coefficient of (y - pole)^-2 in num/den is
-    num(pole)/h with no division of polynomials; h is None at other roots.
-    Raises NotSplitOverRationals."""
-    return _denominator_poles_of(den.ints, den.den)
-
-
 @lru_cache(maxsize=64)
 def _denominator_poles_of(ints: Tuple[int, ...], d: int) -> Tuple[Tuple, ...]:
+    """(pole, order, h) for each rational root of den = ints/d, ascending.
+    At a double root, den = (y - pole)^2 g and h = g(pole) = den''(pole)/2,
+    a Taylor coefficient, so the coefficient of (y - pole)^-2 in num/den is
+    num(pole)/h with no division of polynomials; h is None at other roots.
+    Raises NotSplitOverRationals."""
     den = Poly(ints).scale(Q(1, d))
     second = den.derivative().derivative()
     return tuple(
@@ -165,73 +158,56 @@ def _denominator_poles_of(ints: Tuple[int, ...], d: int) -> Tuple[Tuple, ...]:
 def _solve_monic_polynomial(d: int, A: RatFunc, B: RatFunc):
     """Monic P of degree d with P'' + A P' + B P = 0.
 
-    Returns ("unique", P), ("family", P0, dim) with P0 one member, or
-    ("none", None).
+    Returns ("unique", P), ("family", P0, 1) with P0 the member whose
+    coefficient at the free index is 0, or ("none", None).
+
+    Cleared of denominators the equation is L(P) = D P'' + (DA) P' + (DB) P
+    = 0.  As A and B vanish to orders 1 and 2 at infinity, L maps y^j to
+    degree <= j + deg D - 2, with top coefficient lead(D) I(j), I the
+    indicial polynomial at infinity.  So the system is triangular from the
+    top: each p_j with I(j) != 0 is fixed by row j + deg D - 2.  I is
+    quadratic with d a root, so at most one index k < d has I(k) = 0; p_k
+    is the one free constant, and the rows that no p_j fixed decide it.
+    (Should I(d) != 0, the top row of L(y^d) survives every step and the
+    answer is "none".)
     """
-    # clear denominators: D P'' + (D A) P' + (D B) P = 0 with D the lcm
     g = A.den.gcd(B.den)
     D = A.den * (B.den // g)
     DA = A.num * (D // A.den)
     DB = B.num * (D // B.den)
+    shift = D.degree - 2
 
-    basis: List[Poly] = []
-    y = Poly.variable()
-    mono = Poly.one()
-    for i in range(d + 1):
+    def image(mono: Poly) -> Poly:
         first = mono.derivative()
-        second = first.derivative()
-        basis.append(D * second + DA * first + DB * mono)
-        mono = mono * y
+        return D * first.derivative() + DA * first + DB * mono
 
-    maxdeg = max((p.degree for p in basis if not p.is_zero), default=-1)
-    if maxdeg < 0:
-        # operator kills every monomial: any monic P of degree d works
-        if d == 0:
-            return ("unique", Poly.one())
-        return ("family", Poly.variable() ** d, d)
-    nrows = int(maxdeg) + 1
-    # unknowns: p_0..p_{d-1}; RHS from the monic leading term
-    rows = [[basis[i].coeff(k) for i in range(d)] for k in range(nrows)]
-    rhs = [-basis[d].coeff(k) for k in range(nrows)]
-    status, sol, nullity = _gauss_solve(rows, rhs, d)
-    if status == "none":
-        return ("none", None)
-    P = Poly(list(sol) + [Q(1)])
-    return ("unique", P) if nullity == 0 else ("family", P, nullity)
+    def descend(top: int):
+        """(y^top + lower terms, its image, free index or None): each lower
+        p_j clears row j + shift of the image."""
+        P = Poly.variable() ** top
+        r, free = image(P), None
+        for j in range(top - 1, -1, -1):
+            mono = Poly.variable() ** j
+            col = image(mono)
+            pivot = col.coeff(j + shift)
+            if not pivot:
+                free = j
+                continue
+            c = -r.coeff(j + shift) / pivot
+            if c:
+                P, r = P + mono.scale(c), r + col.scale(c)
+        return P, r, free
 
-
-def _gauss_solve(rows: List[List], rhs: List, ncols: int):
-    """Exact Gaussian elimination for rows * x = rhs.
-
-    Returns (status, solution, nullity); free variables are set to 0."""
-    m = len(rows)
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivot_cols: List[int] = []
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(prow, m):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        inv = 1 / aug[prow][col]
-        aug[prow] = [v * inv for v in aug[prow]]
-        for i in range(m):
-            if i != prow and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[prow])]
-        pivot_cols.append(col)
-        prow += 1
-    for i in range(prow, m):
-        if aug[i][ncols] != 0:
-            return ("none", None, 0)
-    sol = [Q(0)] * ncols
-    for r, col in enumerate(pivot_cols):
-        sol[col] = aug[r][ncols]
-    return ("ok", sol, ncols - len(pivot_cols))
+    P, r, k = descend(d)
+    if k is None:
+        return ("unique", P) if r.is_zero else ("none", None)
+    Pk, Lk, _ = descend(k)
+    if Lk.is_zero:
+        return ("family", P, 1) if r.is_zero else ("none", None)
+    # the top row of L(Pk) that is not zero fixes p_k = t
+    t = -r.coeff(Lk.degree) / Lk.leading
+    r = r + Lk.scale(t)
+    return ("unique", P + Pk.scale(t)) if r.is_zero else ("none", None)
 
 
 def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
@@ -250,7 +226,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
     pole_list: List[PoleData] = []
     if not r.is_zero and r.den.degree > 0:
         try:
-            poles = _denominator_poles(r.den)
+            poles = _denominator_poles_of(r.den.ints, r.den.den)
         except NotSplitOverRationals as exc:
             raise NonRationalPoles(str(exc)) from exc
         for pole, order, h in poles:
@@ -262,7 +238,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
                 cert.poles.append(PoleData(pole, order, Q(0), ()))
                 return OracleResult((), cert)
             kappa = Q(0) if h is None else r.num(pole) / h
-            exps = _indicial_roots(kappa)
+            exps = _indicial_roots_of(kappa.numerator, kappa.denominator)
             if exps is None:
                 cert.note(
                     f"IrrationalLocalExponent at pole {pole} (kappa = {kappa}): "
@@ -285,7 +261,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
     else:
         kappa_inf = Q(0)
     cert.kappa_inf = kappa_inf
-    exps_inf = _indicial_roots(kappa_inf)
+    exps_inf = _indicial_roots_of(kappa_inf.numerator, kappa_inf.denominator)
     if exps_inf is None:
         cert.note(
             f"IrrationalLocalExponent at infinity (kappa = {kappa_inf}): "
@@ -405,7 +381,7 @@ def cross_check(p: TriangleParams, degree_bound: int = 24) -> ConsistencyReport:
     """
     verdict = decide_condition_ric(p)
     R = build_triangular_R(p)
-    oracle = rational_solutions(associate_riccati(R), degree_bound)
+    oracle = rational_solutions(RiccatiEq(R), degree_bound)
     if verdict.holds and oracle.found:
         return ConsistencyReport(
             p, verdict, oracle, CONTRADICTION,

@@ -11,6 +11,7 @@ parameters: inverse(inf) = 0, inverse(q) = 1/q, inverse(0) is an error.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,16 +29,25 @@ class ZeroParameter(ValueError):
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
+# Declared size limit of input integers (exit 2 in the CLI), which keeps
+# them under the 4300 digits Python will print.
+MAX_BITS = 10_000
+
 
 def parse_q(text: str) -> Fraction:
-    """Q(text) for input text; any bad text, 1/0 included, raises ValueError."""
+    """Q(text) for input text; any bad text, 1/0 included, and any value with
+    an integer above MAX_BITS bits raise ValueError."""
     m = _EXPONENT.search(text)
     if m and abs(int(m.group(1))) > MAX_EXPONENT:
         raise ValueError(f"exponent in {text!r} is above the limit {MAX_EXPONENT}")
     try:
-        return Q(text)
+        q = Q(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
+    bits = max(abs(q.numerator), q.denominator).bit_length()
+    if bits > MAX_BITS:
+        raise ValueError(f"an integer of {bits} bits is above the limit {MAX_BITS}")
+    return q
 
 
 def rational_sqrt(q) -> Optional[Fraction]:
@@ -48,22 +58,10 @@ def rational_sqrt(q) -> Optional[Fraction]:
     """
     if q < 0:
         return None
-    num = int(q.numerator)
-    den = int(q.denominator)
-    rn = _isqrt_exact(num)
-    if rn is None:
-        return None
-    rd = _isqrt_exact(den)
-    if rd is None:
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
         return None
     return Q(rn, rd)
-
-
-def _isqrt_exact(n: int) -> Optional[int]:
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 @dataclass(frozen=True)

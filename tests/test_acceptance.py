@@ -26,7 +26,6 @@ from triform.puiseux import PuiseuxSeries, leading_constraints, residual
 from triform.riccati import (
     CONTRADICTION,
     RiccatiEq,
-    associate_riccati,
     cross_check,
     half_riccati_residual,
     rational_solutions,
@@ -114,17 +113,17 @@ def test_criterion_3_witness_replay():
 
 def test_criterion_4_oracle_agreement():
     # named solutions, residual exactly zero
-    e1 = associate_riccati(build_triangular_R(TriangleParams.parse("1,inf,inf")))
+    e1 = RiccatiEq(build_triangular_R(TriangleParams.parse("1,inf,inf")))
     want = rf((Q(-1, 2), 1), (0, -1, 1))  # (1/2)(1/y + 1/(y-1))
     assert rational_solutions(e1).solutions == (want,)
     assert e1.residual(want).is_zero
 
-    e2 = associate_riccati(build_triangular_R(TriangleParams.parse("1,1,1")))
+    e2 = RiccatiEq(build_triangular_R(TriangleParams.parse("1,1,1")))
     assert rational_solutions(e2).solutions == (RatFunc.zero(),)
     assert e2.residual(RatFunc.zero()).is_zero
 
     for text in ("2,3,7", "2,3,inf", "inf,inf,inf"):
-        e = associate_riccati(build_triangular_R(TriangleParams.parse(text)))
+        e = RiccatiEq(build_triangular_R(TriangleParams.parse(text)))
         assert rational_solutions(e).solutions == ()
 
     start = time.monotonic()

@@ -160,6 +160,43 @@ class TestInputChecks:
         assert code == 2
         assert "above the limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            # R squares the inverse parameters: 3000 digits become 6000
+            (["analyze", "--triangle", "1" + "0" * 3000 + ",3,7"], "--triangle"),
+            # the pullback of a degree-4 R raises the entries to high powers
+            (["analyze", "--triangle", "2,3,7", "--moebius", "1" + "0" * 3000 + ",1,0,1"], "--moebius"),
+            # an exponent carries a short text past the limit
+            (["series-check", "--lambda0", "1" * 4000 + "e1000"], "--lambda0"),
+        ],
+    )
+    def test_oversized_integers_exit_2_fast(self, argv, option, capsys):
+        # accepted, these would end in Python's 4300-digit int-to-str error
+        start = time.perf_counter()
+        code, text = run(argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {option} value:") and "above the limit 10000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--triangle", "1" + "0" * 1500 + ",3,7", "--oracle"],
+            ["oracle", "--triangle", f"{10**498 + 1},{10**498 + 3},{10**498 + 7}"],
+            ["series-check", "--triangle", "2,3,7", "--moebius", f"{10**214},1,0,1"],
+        ],
+    )
+    def test_near_limit_integers_run_fast(self, argv):
+        # just under the limit: R has integers of 9,976 and 9,926 bits, and
+        # the pullback is predicted at 9,980 bits
+        start = time.perf_counter()
+        code, doc = run_json(argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert doc["normalized"]
+
     def test_expr_under_the_limit_runs(self):
         code, doc = run_json(["analyze", "--expr", "(y+1)^600"])
         assert code == 0
@@ -375,6 +412,18 @@ class TestOracle:
     def test_family_reported(self):
         _, doc = run_json(["oracle", "--expr", "0"])
         assert doc["oracle"]["families"]
+
+    def test_family_representative_pinned(self):
+        # Euler's equation: u = 3/(y+1) and -2/(y+1), and the pencil
+        # v = (y+1)^3 + t/(y+1)^2 gives P = (y+1)^5 + t - 1 with theta =
+        # -2/(y+1); the representative has its free coefficient p_0 = 0
+        text = run(["oracle", "--expr=-12/(y+1)^2", "--json"])[1]
+        assert (
+            "representative P = y^5 + 5*y^4 + 10*y^3 + 10*y^2 + 5*y" in text
+        )
+        doc = json.loads(text)
+        assert doc["oracle"]["solutions"] == ["3/(y + 1)", "-2/(y + 1)"]
+        assert len(doc["oracle"]["families"]) == 1
 
     def test_unsupported_expr_exits_2(self):
         code, _ = run(["oracle", "--expr", "y"])

@@ -1,9 +1,11 @@
 """Riccati/linear correspondence and the rational-solution oracle."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from triform import riccati
 from triform.polynomials import Poly, RatFunc, partial_fractions
 from triform.riccati import (
     CONSISTENT,
@@ -12,7 +14,6 @@ from triform.riccati import (
     NonRationalPoles,
     RiccatiEq,
     UnsupportedAtInfinity,
-    associate_riccati,
     cross_check,
     half_riccati_residual,
     rational_solutions,
@@ -30,7 +31,7 @@ def rf(num, den=(1,)):
 
 
 def triangular_riccati(text: str) -> RiccatiEq:
-    return associate_riccati(build_triangular_R(TriangleParams.parse(text)))
+    return RiccatiEq(build_triangular_R(TriangleParams.parse(text)))
 
 
 class TestCorrespondence:
@@ -221,3 +222,139 @@ class TestLocalData:
                 assert data.kappa == want.get(data.pole, Q(0)), (str(R), data)
                 checked += data.order == 2
         assert checked > 200
+
+
+# The auxiliary-polynomial solver that the triangular recurrence replaced:
+# basis images, a dense matrix and Gauss-Jordan with free variables set to
+# 0.  Kept as the reference for riccati._solve_monic_polynomial.
+def reference_solve_monic_polynomial(d, A, B):
+    g = A.den.gcd(B.den)
+    D = A.den * (B.den // g)
+    DA = A.num * (D // A.den)
+    DB = B.num * (D // B.den)
+
+    basis = []
+    y = Poly.variable()
+    mono = Poly.one()
+    for i in range(d + 1):
+        first = mono.derivative()
+        second = first.derivative()
+        basis.append(D * second + DA * first + DB * mono)
+        mono = mono * y
+
+    maxdeg = max((p.degree for p in basis if not p.is_zero), default=-1)
+    if maxdeg < 0:
+        if d == 0:
+            return ("unique", Poly.one())
+        return ("family", Poly.variable() ** d, d)
+    nrows = int(maxdeg) + 1
+    rows = [[basis[i].coeff(k) for i in range(d)] for k in range(nrows)]
+    rhs = [-basis[d].coeff(k) for k in range(nrows)]
+    status, sol, nullity = reference_gauss_solve(rows, rhs, d)
+    if status == "none":
+        return ("none", None)
+    P = Poly(list(sol) + [Q(1)])
+    return ("unique", P) if nullity == 0 else ("family", P, nullity)
+
+
+def reference_gauss_solve(rows, rhs, ncols):
+    m = len(rows)
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    pivot_cols = []
+    prow = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(prow, m):
+            if aug[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        aug[prow], aug[sel] = aug[sel], aug[prow]
+        inv = 1 / aug[prow][col]
+        aug[prow] = [v * inv for v in aug[prow]]
+        for i in range(m):
+            if i != prow and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[prow])]
+        pivot_cols.append(col)
+        prow += 1
+    for i in range(prow, m):
+        if aug[i][ncols] != 0:
+            return ("none", None, 0)
+    sol = [Q(0)] * ncols
+    for r, col in enumerate(pivot_cols):
+        sol[col] = aug[r][ncols]
+    return ("ok", sol, ncols - len(pivot_cols))
+
+
+def random_triangles(rng, n):
+    for _ in range(n):
+        slots = [
+            "inf" if rng.random() < 0.2 else str(Q(rng.randint(1, 9), rng.randint(1, 6)))
+            for _ in range(3)
+        ]
+        yield build_triangular_R(TriangleParams.parse(",".join(slots)))
+
+
+def random_double_poles(rng, n):
+    """(1/2)R = sum of kappa_c/(y-c)^2 + beta_c/(y-c) with kappa_c = e(1-e)
+    for a rational e, so every local exponent is rational: the beta_c sum to
+    0 and are chosen to give kappa_inf = e_inf(1 - e_inf)."""
+    candidates = sorted({Q(k, m) for k in range(-6, 7) for m in (1, 2, 3)})
+    for _ in range(n):
+        poles = rng.sample(candidates, rng.randint(2, 3))
+        exps = [Q(rng.randint(-4, 5), rng.choice((1, 1, 2))) for _ in range(len(poles) + 1)]
+        kappa = [e * (1 - e) for e in exps]
+        beta = [Q(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in poles[2:]]
+        rest = sum(beta)
+        target = kappa[-1] - sum(kappa[:-1]) - sum(b * c for b, c in zip(beta, poles[2:]))
+        c0, c1 = poles[:2]
+        b1 = (target + rest * c0) / (c1 - c0)
+        beta = [-rest - b1, b1] + beta
+        half_R = RatFunc.zero()
+        for c, k, b in zip(poles, kappa, beta):
+            half_R = half_R + RatFunc(Poly((k,)), Poly.linear(c) ** 2)
+            half_R = half_R + RatFunc(Poly((b,)), Poly.linear(c))
+        yield half_R.scale(Q(2))
+
+
+def random_known_solutions(rng, n):
+    """R = -2(u' + u^2) for u = theta + P'/P with rational poles: the oracle
+    finds u, and often a family through it."""
+    for _ in range(n):
+        u = RatFunc.zero()
+        for c in rng.sample(range(-5, 6), rng.randint(0, 2)):
+            e = Q(rng.randint(-3, 3), rng.choice((1, 2)))
+            u = u + RatFunc(Poly((e,)), Poly.linear(c))
+        P = Poly.one()
+        for _ in range(rng.randint(0, 4)):
+            P = P * Poly.linear(Q(rng.randint(-5, 5), rng.choice((1, 1, 2))))
+        u = u + RatFunc(P.derivative(), P)
+        yield (u.derivative() + u * u).scale(Q(-2))
+
+
+def test_solver_matches_gauss_jordan_reference(monkeypatch):
+    # every solve the oracle makes, on three seeded populations, returns the
+    # reference's tuple; a family's representative P0 is compared too, so
+    # a solver that sets the free coefficient to anything but 0, or fixes
+    # it before the lower rows are checked, fails here
+    solve = riccati._solve_monic_polynomial
+    seen = Counter()
+
+    def checked(d, A, B):
+        got = solve(d, A, B)
+        assert got == reference_solve_monic_polynomial(d, A, B), (d, str(A), str(B))
+        seen[got[0]] += 1
+        return got
+
+    monkeypatch.setattr(riccati, "_solve_monic_polynomial", checked)
+    rng = random.Random(7401)
+    population = [
+        *random_triangles(rng, 300),
+        *random_double_poles(rng, 400),
+        *random_known_solutions(rng, 300),
+    ]
+    for R in population:
+        rational_solutions(RiccatiEq(R))
+    assert seen["family"] >= 100 and seen["unique"] >= 1000 and seen["none"] >= 500, seen
