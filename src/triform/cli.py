@@ -13,8 +13,9 @@ Machine-readable output (--json) is a single JSON object per invocation
 with fixed field order {input, normalized, triangular, hyperbolic,
 kimura, oracle, conclusion, citations}, suitable for golden files.
 
-Exit codes: 0 conclusion reached, 2 input error, 3 internal consistency
-failure (a cross-check contradiction, which indicates a bug).
+Exit codes: 0 conclusion reached, 2 input error or a declared size or work
+limit, 3 internal consistency failure (a cross-check contradiction, which
+indicates a bug).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import kimura, puiseux, riccati
-from .parser import DivisionByZeroConstant, ExprSyntaxError, height, parse_ratfunc
-from .polynomials import RatFunc
+from .parser import DivisionByZeroConstant, ExprSyntaxError, parse_ratfunc
+from .polynomials import OutputTooLarge, RatFunc, check_output_size, height
 from .scalars import MAX_BITS, Q, ZeroParameter, parse_q
 from .schwarzian import (
     Moebius,
@@ -92,6 +93,15 @@ def _pullback_bits(R: RatFunc, m: Moebius) -> int:
     h = max(abs(x.numerator) * (scale // x.denominator) for x in entries)
     n, k = len(R.num.ints), len(R.den.ints)
     return height(R).bit_length() + (n + k + abs(4 + n - k) + 4) * (2 * h).bit_length()
+
+
+# Declared work limit of series-check's --a0: its degree (numerator plus
+# denominator) times the bit size of its largest integer.  Squaring a0 sets
+# the cost.  Measured on the worst polynomial shape, degree 1000: at the
+# limit, a0 = (y+1)^404 (y^596 + 1) runs series-check --lambda0 0 in about
+# 0.6 s on a 2-core x86-64 with Python 3.11, and (2*y+3)^1000, degree 1000
+# times 2,317 bits, took 13 s.
+MAX_A0_WORK = 400_000
 
 
 def _check_bits(option: str, what: str, bits: int) -> None:
@@ -267,6 +277,12 @@ def cmd_series_check(args, out) -> int:
             raise InputError(f"bad --a0 value: {exc}") from exc
         if a0.is_zero:
             raise InputError("bad --a0 value: the leading coefficient must be nonzero")
+        degree, bits = a0.num.degree + a0.den.degree, height(a0).bit_length()
+        if degree * bits > MAX_A0_WORK:
+            raise InputError(
+                f"bad --a0 value: degree {degree} times {bits} bits is {degree * bits}, "
+                f"above the limit {MAX_A0_WORK}"
+            )
         echo["a0"] = args.a0
     elif lambda0 == 0:
         # try the oracle: a rational Riccati solution u gives a0 = 2u
@@ -281,6 +297,15 @@ def cmd_series_check(args, out) -> int:
             a0 = nonzero[0].scale(Q(2))
 
     report = puiseux.leading_constraints(lambda0, a0, R)
+    shown = [report.obstruction_coefficient, report.constraint_residual]
+    shown.append(report.half_riccati_solution)
+    E = None
+    if a0 is not None and lambda0 == 0:
+        # demonstrate the residual at the requested truncation
+        U = puiseux.PuiseuxSeries.monomial(a0, Q(0), cutoff=Q(args.truncation))
+        E = puiseux.residual(U, R)
+        shown += [c for _, c in E.terms]
+    check_output_size("the series-check result", *(f for f in shown if f is not None))
     doc = {
         "input": echo,
         "normalized": R.render("y"),
@@ -302,10 +327,7 @@ def cmd_series_check(args, out) -> int:
             "truncation": str(args.truncation),
         },
     }
-    # demonstrate the residual at the requested truncation when a0 is known
-    if a0 is not None and lambda0 == 0:
-        U = puiseux.PuiseuxSeries.monomial(a0, Q(0), cutoff=Q(args.truncation))
-        E = puiseux.residual(U, R)
+    if E is not None:
         doc["series"]["residual"] = E.render()
     _emit(doc, args, out)
     return 0
@@ -491,7 +513,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ZeroParameter, NotTriangular) as exc:
+    except (ZeroParameter, NotTriangular, OutputTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

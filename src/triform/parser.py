@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .polynomials import Poly, RatFunc
+from .polynomials import Poly, RatFunc, height
 from .scalars import MAX_BITS, Q
 
 
@@ -254,11 +254,6 @@ class ExpressionTooLarge(ValueError):
 
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-def height(f: RatFunc) -> int:
-    """The largest integer of f, in absolute value."""
-    return max(map(abs, f.num.ints + f.den.ints + (f.num.den, f.den.den)))
 
 
 def _check(node: ExprAST, what: str, value: int, limit: int) -> None:

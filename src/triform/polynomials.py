@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from .scalars import Q
+from .scalars import MAX_OUTPUT_BITS, Q
 
 NEG_INF = float("-inf")
 
@@ -33,9 +33,10 @@ class NotSplitOverRationals(ValueError):
     """Denominator has an irreducible factor of degree >= 2 over Q."""
 
 
-def _poly(ints: List[int], den: int) -> "Poly":
+def int_poly(ints: List[int], den: int) -> "Poly":
     """The canonical Poly with coefficients ints[k]/den (den nonzero): strip
-    trailing zeros, make den positive and divide out gcd(den, *ints)."""
+    trailing zeros, make den positive and divide out gcd(den, *ints).  The
+    one constructor from integers; it may take ownership of the list."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
@@ -61,7 +62,7 @@ class Poly:
     def __new__(cls, coeffs: Iterable = ()):
         cs = [c if type(c) is int or type(c) is Q else Q(c) for c in coeffs]
         den = math.lcm(*[c.denominator for c in cs])
-        return _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        return int_poly([c.numerator * (den // c.denominator) for c in cs], den)
 
     @property
     def coeffs(self) -> Tuple:
@@ -136,10 +137,10 @@ class Poly:
         out = [x * fa for x in a]
         for i, x in enumerate(b):
             out[i] += x * fb
-        return _poly(out, da * fa)
+        return int_poly(out, da * fa)
 
     def __neg__(self) -> "Poly":
-        return _poly([-n for n in self.ints], self.den)
+        return int_poly([-n for n in self.ints], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -153,7 +154,7 @@ class Poly:
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        return _poly(out, self.den * other.den)
+        return int_poly(out, self.den * other.den)
 
     def scale(self, c) -> "Poly":
         if type(c) is not int and type(c) is not Q:
@@ -161,7 +162,7 @@ class Poly:
         if not c:
             return _ZERO
         n = c.numerator
-        return _poly([a * n for a in self.ints], self.den * c.denominator)
+        return int_poly([a * n for a in self.ints], self.den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -189,7 +190,7 @@ class Poly:
             return _ZERO, self
         lead = b[-1]
         if n == 0:
-            return _poly([x * other.den for x in a], self.den * lead), _ZERO
+            return int_poly([x * other.den for x in a], self.den * lead), _ZERO
         rem = list(a)
         quot = [0] * (len(a) - n)
         s = 1
@@ -208,7 +209,7 @@ class Poly:
                 rem[j] -= t * y
         # a/da = (q db / (s da)) * (b/db) + r / (s da)
         den = s * self.den
-        return _poly([x * other.den for x in quot], den), _poly(rem[:n], den)
+        return int_poly([x * other.den for x in quot], den), int_poly(rem[:n], den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -220,7 +221,7 @@ class Poly:
         ints = self.ints
         if not ints or ints[-1] == self.den:
             return self
-        return _poly(list(ints), ints[-1])
+        return int_poly(list(ints), ints[-1])
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor (Euclid over the monic remainder
@@ -233,25 +234,29 @@ class Poly:
     # -- calculus and evaluation --------------------------------------------
 
     def derivative(self) -> "Poly":
-        return _poly([k * n for k, n in enumerate(self.ints) if k], self.den)
+        return int_poly([k * n for k, n in enumerate(self.ints) if k], self.den)
 
-    def __call__(self, x):
-        """Value at a rational x = p/q, by Horner's rule on the homogenised
-        numerator sum n_k p^k q^(deg - k), over den * q^deg."""
+    def at(self, p: int, q: int) -> Tuple[int, int]:
+        """Value at the rational p/q (q > 0) as an integer pair (n, d), not
+        reduced: Horner's rule on the homogenised numerator
+        n = sum ints[k] p^k q^(deg - k), over d = den * q^deg."""
         ints = self.ints
         if not ints:
-            return _QZERO
-        p, q = x.numerator, x.denominator
+            return 0, 1
         acc = ints[-1]
         if q == 1:
             for c in ints[-2::-1]:
                 acc = acc * p + c
-            return Q(acc, self.den)
+            return acc, self.den
         qk = 1
         for c in ints[-2::-1]:
             qk *= q
             acc = acc * p + c * qk
-        return Q(acc, self.den * qk)
+        return acc, self.den * qk
+
+    def __call__(self, x):
+        """Value at a rational x."""
+        return Q(*self.at(x.numerator, x.denominator))
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
         """self(inner) as a rational function (Horner over RatFunc)."""
@@ -492,6 +497,26 @@ _RF_ONE = RatFunc(_ONE)
 _RF_X = RatFunc(_X)
 
 
+def height(f) -> int:
+    """The largest integer of the Poly or RatFunc f, in absolute value."""
+    polys = (f,) if isinstance(f, Poly) else (f.num, f.den)
+    return max(abs(n) for p in polys for n in p.ints + (p.den,))
+
+
+class OutputTooLarge(ValueError):
+    """A result to print has an integer above scalars.MAX_OUTPUT_BITS bits."""
+
+
+def check_output_size(what: str, *fs) -> None:
+    """Raise OutputTooLarge when one of the Polys or RatFuncs fs, which the
+    caller is about to render, has an integer above MAX_OUTPUT_BITS bits."""
+    bits = max((height(f) for f in fs), default=0).bit_length()
+    if bits > MAX_OUTPUT_BITS:
+        raise OutputTooLarge(
+            f"{what} has integers of {bits} bits, above the output limit {MAX_OUTPUT_BITS}"
+        )
+
+
 # -- factorization helpers ------------------------------------------------------
 
 
@@ -513,7 +538,7 @@ def rational_roots(p: Poly) -> List[Tuple]:
         k += 1
     if k:
         roots.append((_QZERO, k))
-        p = _poly(list(ints[k:]), p.den)
+        p = int_poly(list(ints[k:]), p.den)
     if p.degree < 1:
         return roots
     f = (p // p.gcd(p.derivative())).ints

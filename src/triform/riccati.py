@@ -42,11 +42,14 @@ from typing import List, Optional, Tuple
 from .kimura import KimuraVerdict, decide_condition_ric
 from .polynomials import (
     NotSplitOverRationals,
+    OutputTooLarge,
     Poly,
     RatFunc,
+    check_output_size,
+    int_poly,
     linear_factorization,
 )
-from .scalars import Q, rational_sqrt
+from .scalars import MAX_OUTPUT_BITS, Q, rational_sqrt
 from .schwarzian import TriangleParams, build_triangular_R
 
 
@@ -125,34 +128,60 @@ class OracleResult:
 
 
 # The oracle's memos are keyed on integers, not on Q values: hashing a
-# Fraction computes a modular inverse.  Their values are immutable tuples.
-# Both are bounded; the bound-100 sweep needs one denominator and about a
-# hundred kappas, since kappa at 0, 1 and inf is (1 - x^2)/4 for x = 1/n.
+# Fraction computes a modular inverse.  Their values are immutable tuples
+# that also hold the texts and integer pairs the per-call path reads, so it
+# builds no Fraction.  Both are bounded; the bound-100 sweep needs one
+# denominator and about a hundred kappas, since kappa at 0, 1 and inf is
+# (1 - x^2)/4 for x = 1/n.
 @lru_cache(maxsize=256)
-def _indicial_roots_of(n: int, d: int) -> Optional[Tuple]:
-    """Rational roots of e^2 - e + n/d = 0, descending, or None."""
-    disc = 1 - 4 * Q(n, d)
-    s = rational_sqrt(disc)
+def _indicial_roots_of(n: int, d: int) -> Tuple:
+    """(kappa, roots, options) for kappa = n/d in lowest terms (d > 0):
+    roots are the rational roots of e^2 - e + kappa = 0, descending, or
+    None, and options hold (root, text, numerator, denominator) per root.
+    Raises OutputTooLarge when kappa, whose text the oracle may print, has
+    an integer above MAX_OUTPUT_BITS bits."""
+    bits = max(abs(n), d).bit_length()
+    if bits > MAX_OUTPUT_BITS:
+        raise OutputTooLarge(
+            f"kappa has integers of {bits} bits, above the output limit {MAX_OUTPUT_BITS}"
+        )
+    kappa = Q(n, d)
+    s = rational_sqrt(1 - 4 * kappa)
     if s is None:
-        return None
+        return kappa, None, ()
     hi = (1 + s) / 2
     lo = (1 - s) / 2
-    return (hi,) if hi == lo else (hi, lo)
+    roots = (hi,) if hi == lo else (hi, lo)
+    return kappa, roots, tuple((e, str(e), e.numerator, e.denominator) for e in roots)
 
 
 @lru_cache(maxsize=64)
 def _denominator_poles_of(ints: Tuple[int, ...], d: int) -> Tuple[Tuple, ...]:
-    """(pole, order, h) for each rational root of den = ints/d, ascending.
-    At a double root, den = (y - pole)^2 g and h = g(pole) = den''(pole)/2,
-    a Taylor coefficient, so the coefficient of (y - pole)^-2 in num/den is
-    num(pole)/h with no division of polynomials; h is None at other roots.
-    Raises NotSplitOverRationals."""
-    den = Poly(ints).scale(Q(1, d))
+    """(pole, order, text, (p, q), h) for each rational root pole = p/q of
+    den = ints/d, ascending.  At a double root, den = (y - pole)^2 g and
+    h = g(pole) = den''(pole)/2, a Taylor coefficient, so the coefficient
+    of (y - pole)^-2 in num/den is num(pole)/h with no division of
+    polynomials; h is an integer pair (hn, hd), hn != 0, at a double root
+    and None at other roots.  Raises NotSplitOverRationals."""
+    den = int_poly(list(ints), d)
     second = den.derivative().derivative()
-    return tuple(
-        (pole, order, second(pole) / 2 if order == 2 else None)
-        for pole, order in linear_factorization(den)
-    )
+    out = []
+    for pole, order in linear_factorization(den):
+        p, q = pole.numerator, pole.denominator
+        h = None
+        if order == 2:
+            hn, hd = second.at(p, q)
+            h = (hn, 2 * hd)
+        out.append((pole, order, str(pole), (p, q), h))
+    return tuple(out)
+
+
+def _lowest(n: int, d: int) -> Tuple[int, int]:
+    """n/d (d != 0) in lowest terms, with d > 0."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
 
 
 def _solve_monic_polynomial(d: int, A: RatFunc, B: RatFunc):
@@ -222,31 +251,37 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
     r = e.half_R
     cert = SearchCertificate()
 
-    # local data at the finite poles
+    # local data at the finite poles, on the integers of r and its poles
     pole_list: List[PoleData] = []
+    local: List[Tuple] = []  # (pole, text, options) per pole
     if not r.is_zero and r.den.degree > 0:
         try:
             poles = _denominator_poles_of(r.den.ints, r.den.den)
         except NotSplitOverRationals as exc:
             raise NonRationalPoles(str(exc)) from exc
-        for pole, order, h in poles:
+        for pole, order, text, (p, q), h in poles:
             if order > 2:
                 cert.note(
-                    f"pole {pole} of order {order} > 2: no rational solution can "
+                    f"pole {text} of order {order} > 2: no rational solution can "
                     "cancel it (simple poles of u give order <= 2 in u' + u^2)"
                 )
                 cert.poles.append(PoleData(pole, order, Q(0), ()))
                 return OracleResult((), cert)
-            kappa = Q(0) if h is None else r.num(pole) / h
-            exps = _indicial_roots_of(kappa.numerator, kappa.denominator)
-            if exps is None:
+            if h is None:
+                n, d = 0, 1
+            else:
+                vn, vd = r.num.at(p, q)  # kappa = num(pole)/h
+                n, d = _lowest(vn * h[1], vd * h[0])
+            kappa, roots, options = _indicial_roots_of(n, d)
+            if roots is None:
                 cert.note(
-                    f"IrrationalLocalExponent at pole {pole} (kappa = {kappa}): "
+                    f"IrrationalLocalExponent at pole {text} (kappa = {kappa}): "
                     "no rational solution passes through this point"
                 )
                 cert.poles.append(PoleData(pole, order, kappa, ()))
                 return OracleResult((), cert)
-            pole_list.append(PoleData(pole, order, kappa, exps))
+            pole_list.append(PoleData(pole, order, kappa, roots))
+            local.append((pole, text, options))
     cert.poles = pole_list
 
     # local data at infinity
@@ -256,23 +291,22 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
             f"(1/2)R has degree {deg_inf} at infinity; only coefficient "
             "functions vanishing to order >= 2 at infinity are supported"
         )
-    if deg_inf == -2:
-        kappa_inf = r.num.leading / r.den.leading
+    if deg_inf == -2:  # the ratio of the two leading coefficients
+        n, d = _lowest(r.num.ints[-1] * r.den.den, r.num.den * r.den.ints[-1])
     else:
-        kappa_inf = Q(0)
-    cert.kappa_inf = kappa_inf
-    exps_inf = _indicial_roots_of(kappa_inf.numerator, kappa_inf.denominator)
-    if exps_inf is None:
+        n, d = 0, 1
+    cert.kappa_inf, roots, options_inf = _indicial_roots_of(n, d)
+    if roots is None:
         cert.note(
-            f"IrrationalLocalExponent at infinity (kappa = {kappa_inf}): "
+            f"IrrationalLocalExponent at infinity (kappa = {cert.kappa_inf}): "
             "no rational solution exists"
         )
         return OracleResult((), cert)
-    cert.exponents_inf = exps_inf
+    cert.exponents_inf = roots
 
     solutions: List[RatFunc] = []
     complete = True
-    for choice, residues, text_inf, text_d, d in _exponent_combinations(pole_list, exps_inf):
+    for choice, residues, text_inf, text_d, d in _exponent_combinations(local, options_inf):
         entry = {
             "residues": residues,
             "exponent_at_infinity": text_inf,
@@ -300,6 +334,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
             continue
         if outcome[0] == "family":
             _, P0, dim = outcome
+            check_output_size("the family representative", P0, theta)
             entry["status"] = f"family with {dim} movable constant(s)"
             cert.combos.append(entry)
             cert.families.append(
@@ -313,6 +348,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
             entry["status"] = "candidate failed exact substitution"
             cert.combos.append(entry)
             continue
+        check_output_size("the solution", u)
         entry["status"] = f"solution u = {u}"
         cert.combos.append(entry)
         if u not in solutions:
@@ -320,33 +356,29 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
     return OracleResult(tuple(solutions), cert, complete)
 
 
-def _exponent_combinations(pole_list: List[PoleData], exps_inf):
+def _exponent_combinations(local: List[Tuple], options_inf: Tuple):
     """One (choice, residue texts, text of e_inf, text of d, d) per choice of
     a residue at each pole and an exponent at infinity, in deterministic
     order, where d = e_inf - (sum of the chosen residues) is given as an int
     when it is an integer and as None otherwise.
 
-    The sums run on integers over the common denominator of all exponents,
-    and each exponent's text is made once, not once per combo."""
-    exps = [ec for pd in pole_list for ec in pd.exponents] + list(exps_inf)
-    den = math.lcm(*(e.denominator for e in exps))
-
-    def scaled(e) -> int:
-        return e.numerator * (den // e.denominator)
-
+    local holds (pole, pole text, options) per pole, and the options here
+    and in options_inf are (exponent, text, numerator, denominator) as
+    _indicial_roots_of gives them.  The sums run on integers over the
+    common denominator of all exponents."""
+    den = math.lcm(*(o[3] for _, _, opts in local for o in opts), *(o[3] for o in options_inf))
     prefixes: List[Tuple] = [((), (), 0)]  # (choice, residue texts, scaled sum)
-    for pd in pole_list:
-        pole_text = str(pd.pole)
-        options = [(ec, (pole_text, str(ec)), scaled(ec)) for ec in pd.exponents]
+    for pole, pole_text, options in local:
+        steps = [((pole, e), (pole_text, text), n * (den // q)) for e, text, n, q in options]
         prefixes = [
-            (choice + ((pd.pole, ec),), texts + (text,), total + n)
+            (choice + (c,), texts + (t,), total + m)
             for choice, texts, total in prefixes
-            for ec, text, n in options
+            for c, t, m in steps
         ]
-    options_inf = [(str(e), scaled(e)) for e in exps_inf]
+    steps_inf = [(text, n * (den // q)) for _, text, n, q in options_inf]
     out = []
     for choice, texts, total in prefixes:
-        for text_inf, n_inf in options_inf:
+        for text_inf, n_inf in steps_inf:
             n = n_inf - total
             g = math.gcd(n, den)
             num, d_den = n // g, den // g  # d = num/d_den in lowest terms

@@ -33,6 +33,12 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 # them under the 4300 digits Python will print.
 MAX_BITS = 10_000
 
+# Declared size limit of the integers in a computed result the CLI prints,
+# such as an oracle solution or a series-check residual (exit 2 in the
+# CLI).  Results can outgrow their input, so this is wider than MAX_BITS,
+# but it stays under 4300 digits, that is 14,284 bits.
+MAX_OUTPUT_BITS = 14_000
+
 
 def parse_q(text: str) -> Fraction:
     """Q(text) for input text; any bad text, 1/0 included, and any value with
@@ -92,11 +98,12 @@ class ExtRational:
 
     def inverse(self):
         """1/x with the convention inverse(inf) = 0."""
-        if self.value is None:
+        v = self.value
+        if v is None:
             return Q(0)
-        if self.value == 0:
+        if not v:
             raise ZeroParameter("0 has no inverse among triangle parameters")
-        return 1 / self.value
+        return Q(v.denominator, v.numerator)
 
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)

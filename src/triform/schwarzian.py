@@ -13,10 +13,11 @@ construction up to the intrinsic sign ambiguity of the parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .polynomials import NEG_INF, Poly, RatFunc, render_poly
+from .polynomials import Poly, RatFunc, int_poly
 from .scalars import INF, ExtRational, Q, ZeroParameter, parse_q, rational_sqrt
 
 
@@ -118,15 +119,15 @@ class SchwarzianEquation:
 
 
 _TRI_DEN = Poly((0, 0, 1, -2, 1))  # y^2 (y - 1)^2
-_HALF = Q(1, 2)
 
 
-def _build_from_inverse_squares(a2, b2, c2) -> RatFunc:
+def _build_from_inverse_squares(A: int, B: int, C: int, L: int) -> RatFunc:
+    # With inverse squares (a2, b2, c2) = (A, B, C)/L:
     # R = (1/2)[(1-b2)/y^2 + (1-c2)/(y-1)^2 + (b2+c2-a2-1)/(y(y-1))]
-    #   = (1/2)[(1-a2) y^2 + (a2+b2-c2-1) y + (1-b2)] / (y^2 (y-1)^2)
-    num = Poly((_HALF * (1 - b2), _HALF * (a2 + b2 - c2 - 1), _HALF * (1 - a2)))
-    if b2 != 1 and c2 != 1:
-        # num(0) = (1-b2)/2 and num(1) = (1-c2)/2 are nonzero, and 0 and 1
+    #   = [(L-A) y^2 + (A+B-C-L) y + (L-B)] / (2L y^2 (y-1)^2)
+    num = int_poly([L - B, A + B - C - L, L - A], 2 * L)
+    if B != L and C != L:
+        # num(0) = (L-B)/2L and num(1) = (L-C)/2L are nonzero, and 0 and 1
         # are the only roots of the denominator: num/den is already reduced
         return RatFunc._raw(num, _TRI_DEN)
     return RatFunc(num, _TRI_DEN)
@@ -135,7 +136,13 @@ def _build_from_inverse_squares(a2, b2, c2) -> RatFunc:
 def build_triangular_R(p: TriangleParams) -> RatFunc:
     """The triangular coefficient function for parameter triple p."""
     ia, ib, ic = p.inverses()
-    return _build_from_inverse_squares(ia * ia, ib * ib, ic * ic)
+    na, da = ia.numerator, ia.denominator
+    nb, db = ib.numerator, ib.denominator
+    nc, dc = ic.numerator, ic.denominator
+    m = math.lcm(da, db, dc)
+    # each inverse squared over the common denominator m^2
+    A, B, C = (na * (m // da)) ** 2, (nb * (m // db)) ** 2, (nc * (m // dc)) ** 2
+    return _build_from_inverse_squares(A, B, C, m * m)
 
 
 SYMBOLIC_INVERSE_SQUARE = "SymbolicInverseSquare"
@@ -203,7 +210,9 @@ def recognize_triangular(R: RatFunc) -> TriangularRecognition:
     a2 = 1 - 2 * lim_inf
     inverse_squares = (a2, b2, c2)
 
-    if _build_from_inverse_squares(a2, b2, c2) != R:
+    L = math.lcm(a2.denominator, b2.denominator, c2.denominator)
+    A, B, C = (q.numerator * (L // q.denominator) for q in inverse_squares)
+    if _build_from_inverse_squares(A, B, C, L) != R:
         raise NotTriangular(
             f"rebuilding from local data {tuple(map(str, inverse_squares))} does not "
             f"reproduce {R}",

@@ -425,6 +425,32 @@ class TestOracle:
         assert doc["oracle"]["solutions"] == ["3/(y + 1)", "-2/(y + 1)"]
         assert len(doc["oracle"]["families"]) == 1
 
+    def test_family_over_the_output_limit_exits_2_fast(self, capsys):
+        # c = 10^1200 in -12/(y+c)^2 gives P0 = (y+c)^5 - c^5, whose
+        # coefficient 5c^4 has 15,948 bits: Python would not print it
+        start = time.perf_counter()
+        code, text = run(["oracle", "--expr=-12/(y+1" + "0" * 1200 + ")^2", "--json"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: the family representative has integers of 15948 bits")
+        assert "above the output limit 14000" in err
+
+    def test_family_under_the_output_limit_prints(self):
+        # with c = 10^1000, 5c^4 has 13,291 bits
+        start = time.perf_counter()
+        code, doc = run_json(["oracle", "--expr=-12/(y+1" + "0" * 1000 + ")^2"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and len(doc["oracle"]["families"]) == 1
+
+    @pytest.mark.parametrize("verb", ["oracle", "series-check"])
+    def test_kappa_over_the_output_limit_exits_2(self, verb, capsys):
+        # c = 10^1000: R is accepted, but kappa = c^5/2 at the pole c has
+        # 16,609 bits and would end in Python's int-to-str error
+        code, text = run([verb, "--expr", "y^5/(y-1" + "0" * 1000 + ")^2", "--json"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: kappa has integers of 16609 bits")
+
     def test_unsupported_expr_exits_2(self):
         code, _ = run(["oracle", "--expr", "y"])
         assert code == 2
@@ -444,6 +470,30 @@ class TestSeriesCheck:
         )
         assert doc["series"]["obstruction_exponent"] == "2"
         assert "obstructed" in doc["conclusion"]
+
+    def test_largest_accepted_a0_runs_fast(self):
+        # degree 1000 times 400 bits: the a0 work limit, on its worst shape
+        start = time.perf_counter()
+        code, doc = run_json(["series-check", "--a0", "(y+1)^404*(y^596+1)", "--lambda0", "0"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and doc["series"]["residual"]
+
+    def test_first_refused_a0_exits_2_fast(self, capsys):
+        start = time.perf_counter()
+        code, text = run(["series-check", "--a0", "(y+1)^405*(y^595+1)", "--lambda0", "0"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "degree 1000 times 401 bits is 401000, above the limit 400000" in err
+
+    @pytest.mark.parametrize("lambda0", ["0", "1"])
+    def test_result_over_the_output_limit_exits_2(self, lambda0, capsys):
+        # an a0 of 8,717 bits is accepted, but a0^2 would not print
+        a0 = f"{3**5500}*y+1"
+        code, text = run(["series-check", "--a0", a0, "--lambda0", lambda0, "--json"])
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: the series-check result") and "output limit 14000" in err
 
     def test_truncation_flag(self):
         _, doc = run_json(

@@ -1,5 +1,6 @@
 """Riccati/linear correspondence and the rational-solution oracle."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -192,6 +193,13 @@ class TestCrossCheck:
         assert cross_check(TriangleParams.parse("1,inf,inf"), degree_bound=0).status == CONSISTENT
 
 
+def random_big_q(rng, den_digits, num_digits=30):
+    """A rational with up to num_digits digits over up to 10^k, k drawn
+    from den_digits."""
+    bound = 10**num_digits
+    return Q(rng.randint(-bound, bound), rng.randint(1, 10 ** rng.choice(den_digits)))
+
+
 class TestLocalData:
     def test_taylor_kappa_matches_partial_fractions(self):
         # kappa at a double pole c is read as num(c) / (den''(c)/2); compare
@@ -222,6 +230,106 @@ class TestLocalData:
                 assert data.kappa == want.get(data.pole, Q(0)), (str(R), data)
                 checked += data.order == 2
         assert checked > 200
+
+    def test_integer_kappa_matches_fraction_value(self):
+        # the poles, h and kappa come from integer pairs; compare each with
+        # the Fraction values h = den''(pole)/2 and kappa = num(pole)/h of
+        # (1/2)R, on poles of up to 30 digits
+        rng = random.Random(6602)
+        checked = 0
+        for _ in range(200):
+            poles = {random_big_q(rng, (0, 12, 30)) for _ in range(rng.randint(1, 3))}
+            den = Poly.one()
+            for c in poles:
+                den = den * Poly.linear(c) ** rng.choice((1, 2, 2))
+            num = Poly([random_big_q(rng, (6,), 20) for _ in range(den.degree - 1)])
+            if num.is_zero:
+                continue
+            r = RatFunc(num, den).scale(Q(1, 2))
+            second = r.den.derivative().derivative()
+            data = riccati._denominator_poles_of(r.den.ints, r.den.den)
+            assert [pole for pole, *_ in data] == sorted(poles)
+            kappas = {}
+            for pole, order, text, (p, q), h in data:
+                assert (Q(p, q), text) == (pole, str(pole)) and q > 0
+                if order == 2:
+                    assert h[0] != 0 and Q(h[0], h[1]) == second(pole) / 2
+                    kappas[pole] = r.num(pole) / Q(h[0], h[1])
+                    checked += 1
+                else:
+                    assert h is None
+                    kappas[pole] = Q(0)
+            cert = rational_solutions(RiccatiEq(r.scale(Q(2)))).certificate
+            for pd in cert.poles:
+                assert pd.kappa == kappas[pd.pole], (str(r), pd)
+        assert checked > 200
+
+    def test_horner_pair_matches_fraction_value(self):
+        rng = random.Random(6603)
+        for _ in range(300):
+            P = Poly([random_big_q(rng, (6,), 12) for _ in range(rng.randint(0, 6))])
+            x = random_big_q(rng, (0, 30))
+            n, d = P.at(x.numerator, x.denominator)
+            want = sum((c * x**k for k, c in enumerate(P.coeffs)), Q(0))
+            assert d > 0 and Q(n, d) == want == P(x)
+
+
+# The per-combo degree d = e_inf - (sum of residues) as Fraction sums,
+# rendered with str: the reference for riccati._exponent_combinations.
+def reference_exponent_combinations(poles, exps_inf):
+    out = []
+    for picks in itertools.product(*[[(pole, e) for e in exps] for pole, exps in poles]):
+        residues = tuple((str(pole), str(e)) for pole, e in picks)
+        for e_inf in exps_inf:
+            d = e_inf - sum((e for _, e in picks), Q(0))
+            integer = int(d) if d.denominator == 1 else None
+            out.append((picks, residues, str(e_inf), str(d), integer))
+    return out
+
+
+def random_exponent_pair(rng):
+    """The indicial roots (e, 1 - e) of kappa = e(1 - e), descending: a
+    double root at e = 1/2, and negative or 30-digit exponents."""
+    kind = rng.random()
+    if kind < 0.2:
+        return (Q(1, 2),)
+    if kind < 0.5:
+        e = Q(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 12)))
+    else:
+        e = random_big_q(rng, (0, 6, 30))
+    return tuple(sorted({e, 1 - e}, reverse=True))
+
+
+def test_exponent_combinations_match_fraction_reference():
+    # the integer kernel against Fraction sums, on local data read through
+    # the memo, so the roots, their texts and their integer pairs are checked
+    rng = random.Random(6604)
+    integer_degrees = 0
+    for _ in range(400):
+        poles = [
+            (random_big_q(rng, (0, 30)), random_exponent_pair(rng))
+            for _ in range(rng.randint(1, 4))
+        ]
+        exps_inf = random_exponent_pair(rng)
+        if rng.random() < 0.5:
+            # an e_inf that makes d an integer for the first combo
+            shift = sum((exps[0] for _, exps in poles), Q(rng.randint(-3, 30)))
+            exps_inf = tuple(sorted({shift, 1 - shift}, reverse=True))
+        local = []
+        for pole, exps in poles:
+            kappa = exps[0] * (1 - exps[0])
+            _, roots, options = riccati._indicial_roots_of(kappa.numerator, kappa.denominator)
+            assert roots == exps
+            local.append((pole, str(pole), options))
+        kappa_inf = exps_inf[0] * (1 - exps_inf[0])
+        _, roots_inf, options_inf = riccati._indicial_roots_of(
+            kappa_inf.numerator, kappa_inf.denominator
+        )
+        assert roots_inf == exps_inf
+        got = riccati._exponent_combinations(local, options_inf)
+        assert got == reference_exponent_combinations(poles, exps_inf)
+        integer_degrees += sum(row[4] is not None for row in got)
+    assert integer_degrees > 200
 
 
 # The auxiliary-polynomial solver that the triangular recurrence replaced:

@@ -1,5 +1,6 @@
 """Schwarzian derivative, triangular family, Moebius pullbacks."""
 
+import math
 import random
 
 import pytest
@@ -127,7 +128,7 @@ class TestRecognizer:
         # beta^-2 = 2 is not a rational square
         from triform.schwarzian import _build_from_inverse_squares
 
-        R = _build_from_inverse_squares(Q(0), Q(2), Q(0))
+        R = _build_from_inverse_squares(0, 2, 0, 1)  # (0, 2, 0) over L = 1
         rec = recognize_triangular(R)
         assert rec.inverse_squares == (Q(0), Q(2), Q(0))
         assert rec.params[1] == SYMBOLIC_INVERSE_SQUARE
@@ -261,3 +262,27 @@ class TestBuildTriangular:
             assert R == want, text
             reduced += R.den.degree < 4
         assert reduced > 50
+
+    def test_large_rational_slots(self):
+        # coprime 30-digit numerators and denominators: the integer builder
+        # matches the Fraction reference, and recognize_triangular inverts it
+        rng = random.Random(5502)
+        for _ in range(200):
+            slots = []
+            for _ in range(3):
+                if rng.random() < 0.15:
+                    slots.append(INF)
+                    continue
+                while True:
+                    n, d = rng.randint(1, 10**30), rng.randint(1, 10**30)
+                    if math.gcd(n, d) == 1:
+                        break
+                slots.append(ExtRational(Q(rng.choice((1, -1)) * n, d)))
+            p = TriangleParams(*slots)
+            R = build_triangular_R(p)
+            assert R == reference_R(p)
+            rec = recognize_triangular(R)
+            assert rec.inverse_squares == tuple(x * x for x in p.inverses())
+            assert rec.params == tuple(
+                INF if s.is_infinite else ExtRational(abs(s.value)) for s in slots
+            )
