@@ -164,11 +164,9 @@ def _recognize(R: RatFunc):
 def cmd_analyze(args, out) -> int:
     params, R, echo = _resolve_input(args)
     doc = {"input": echo, "normalized": R.render("y")}
+    doc["triangular"], recognized, symbolic = _recognize(R)
     if params is None:
-        tri_info, params, symbolic = _recognize(R)
-    else:
-        tri_info, _, symbolic = _recognize(R)
-    doc["triangular"] = tri_info
+        params = recognized
 
     if params is None:
         doc["hyperbolic"] = None
@@ -253,6 +251,9 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_series_check(args, out) -> int:
+    if args.truncation > 0:
+        # a cutoff above 0 would drop the leading term a0 * w^0 itself
+        raise InputError(f"bad --truncation value: {args.truncation} is above 0")
     lambda0 = Q(0)
     if args.lambda0 is not None:
         try:
@@ -286,12 +287,7 @@ def cmd_series_check(args, out) -> int:
         echo["a0"] = args.a0
     elif lambda0 == 0:
         # try the oracle: a rational Riccati solution u gives a0 = 2u
-        try:
-            found = riccati.rational_solutions(
-                riccati.RiccatiEq(R), degree_bound=args.degree_bound
-            )
-        except (riccati.NonRationalPoles, riccati.UnsupportedAtInfinity) as exc:
-            raise InputError(str(exc)) from exc
+        found = riccati.rational_solutions(riccati.RiccatiEq(R), degree_bound=args.degree_bound)
         nonzero = [u for u in found.solutions if not u.is_zero]
         if nonzero:  # u = 0 gives no leading term
             a0 = nonzero[0].scale(Q(2))
@@ -336,10 +332,7 @@ def cmd_series_check(args, out) -> int:
 def cmd_oracle(args, out) -> int:
     params, R, echo = _resolve_input(args)
     eq = riccati.RiccatiEq(R)
-    try:
-        result = riccati.rational_solutions(eq, degree_bound=args.degree_bound)
-    except (riccati.NonRationalPoles, riccati.UnsupportedAtInfinity) as exc:
-        raise InputError(str(exc)) from exc
+    result = riccati.rational_solutions(eq, degree_bound=args.degree_bound)
     found = len(result.solutions)
     if not result.complete:
         conclusion = (
@@ -485,7 +478,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     c.add_argument("--lambda0", metavar="P/Q", default=None, help="leading exponent")
     c.add_argument("--a0", metavar="EXPR", default=None, help="leading coefficient")
     c.add_argument(
-        "--truncation", type=int, default=-5, help="series cutoff exponent (default -5)"
+        "--truncation", type=int, default=-5, help="series cutoff exponent, at most 0 (default -5)"
     )
     c.set_defaults(func=cmd_series_check)
 
@@ -510,10 +503,15 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         if args.degree_bound < 0:
             raise InputError("--degree-bound must be nonnegative")
         return args.func(args, out)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ZeroParameter, NotTriangular, OutputTooLarge) as exc:
+    except (
+        InputError,
+        ZeroParameter,
+        NotTriangular,
+        OutputTooLarge,
+        riccati.NonRationalPoles,
+        riccati.UnsupportedAtInfinity,
+        riccati.TooManyCombos,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

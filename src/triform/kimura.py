@@ -69,10 +69,10 @@ TABLE: Tuple[TableRow, ...] = (
 )
 
 _PERMS: Tuple[Tuple[int, int, int], ...] = tuple(permutations((0, 1, 2)))
-_SIGNS: Tuple[Tuple[int, int, int], ...] = tuple(product((1, -1), repeat=3))
 
-# total assignments examined by the exhaustive condition-1 search
-ASSIGNMENT_COUNT = len(TABLE) * len(_PERMS) * len(_SIGNS)
+# total assignments examined by the exhaustive condition-1 search: rows,
+# slot permutations and sign patterns
+ASSIGNMENT_COUNT = len(TABLE) * len(_PERMS) * 2**3
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,6 @@ class KimuraVerdict:
 
 
 _TABLE_FRACTIONS = frozenset(q for row in TABLE for q in row.slots if q is not None)
-_ROW_NEEDED = tuple(
-    frozenset(q for q in row.slots if q is not None) for row in TABLE
-)
 
 
 def _residue(x) -> Tuple[int, int]:
@@ -122,10 +119,15 @@ def _residue(x) -> Tuple[int, int]:
     return (x.numerator % d, d)
 
 
-# Each slot as (its fraction q, the residue of x with x in q + Z, the residue
-# of x with -x in q + Z), or None for an "arbitrary" slot.
-_ROW_RESIDUES = tuple(
-    tuple(None if q is None else (q, _residue(q), _residue(-q)) for q in row.slots)
+# Per row: the row, the fractions it needs, and per slot (its fraction q, the
+# residue of x with x in q + Z, the residue of x with -x in q + Z), or None
+# for an "arbitrary" slot.
+_ROWS = tuple(
+    (
+        row,
+        frozenset(q for q in row.slots if q is not None),
+        tuple(None if q is None else (q, _residue(q), _residue(-q)) for q in row.slots),
+    )
     for row in TABLE
 )
 
@@ -138,72 +140,46 @@ _RESIDUE_MATCHES = {
 _NO_MATCH: frozenset = frozenset()
 
 
-def _frac_matches(x) -> frozenset:
-    """Row fractions q with +x or -x in q + Z."""
-    return _RESIDUE_MATCHES.get(_residue(x), _NO_MATCH)
-
-
-def _row_match(row: TableRow, xs, matched=None) -> Optional[LatticeWitness]:
-    """First matching assignment of row against inverse values xs, or None.
-
-    Deterministic order: permutations in itertools order, then sign patterns
-    in itertools.product((1, -1)) order.
-    """
-    if matched is None:
-        matched = _frac_matches(xs[0]) | _frac_matches(xs[1]) | _frac_matches(xs[2])
-    # a row can only match if every required fraction is hit by some value
-    if not _ROW_NEEDED[row.index - 1] <= matched:
-        return None
-    return _row_match_residues(row, xs, [_residue(x) for x in xs])
-
-
-def _row_match_residues(row: TableRow, xs, residues) -> Optional[LatticeWitness]:
-    """_row_match with the residues of xs given: a slot holding q matches
-    sign * x exactly when x has the residue of sign * q."""
-    slots = _ROW_RESIDUES[row.index - 1]
-    for perm in _PERMS:
-        allowed = []  # per slot, the signs under which it matches
-        for i, data in zip(perm, slots):
-            if data is None:
-                allowed.append((1, -1))
-                continue
-            _, plus, minus = data
-            r = residues[i]
-            if r == plus:
-                allowed.append((1, -1) if r == minus else (1,))
-            elif r == minus:
-                allowed.append((-1,))
-            else:
-                break
-        else:
-            for signs in _SIGNS:
-                if not all(sign in ok for sign, ok in zip(signs, allowed)):
-                    continue
-                integers: List[Optional[int]] = [
-                    None if data is None else int(sign * xs[i] - data[0])
-                    for sign, i, data in zip(signs, perm, slots)
-                ]
-                if row.parity and sum(k for k in integers if k is not None) % 2 != 0:
-                    continue
-                return LatticeWitness(row.index, perm, signs, tuple(integers))
-    return None
-
-
 def condition_one(p: TriangleParams) -> Optional[LatticeWitness]:
-    """Exhaustive search of the table; first witness by (row, perm, signs)."""
+    """Exhaustive search of the table; first witness by (row, perm, signs).
+
+    A row is tried only if the residues of xs hit every fraction it needs.
+    A slot holding q matches sign * x exactly when x has the residue of
+    sign * q; the sign patterns run in itertools.product((1, -1)) order,
+    restricted to the signs under which each slot matches.
+    """
     xs = p.inverses()
-    return _condition_one_xs(xs, [_residue(x) for x in xs])
-
-
-def _condition_one_xs(xs, residues) -> Optional[LatticeWitness]:
+    residues = [_residue(x) for x in xs]
     get = _RESIDUE_MATCHES.get
     matched = get(residues[0], _NO_MATCH) | get(residues[1], _NO_MATCH) | get(residues[2], _NO_MATCH)
-    if matched:
-        for row, needed in zip(TABLE, _ROW_NEEDED):
-            if needed <= matched:
-                w = _row_match_residues(row, xs, residues)
-                if w is not None:
-                    return w
+    if not matched:
+        return None
+    for row, needed, slots in _ROWS:
+        if not needed <= matched:
+            continue
+        for perm in _PERMS:
+            allowed = []  # per slot, the signs under which it matches
+            for i, data in zip(perm, slots):
+                if data is None:
+                    allowed.append((1, -1))
+                    continue
+                _, plus, minus = data
+                r = residues[i]
+                if r == plus:
+                    allowed.append((1, -1) if r == minus else (1,))
+                elif r == minus:
+                    allowed.append((-1,))
+                else:
+                    break
+            else:
+                for signs in product(*allowed):
+                    integers: List[Optional[int]] = [
+                        None if data is None else int(sign * xs[i] - data[0])
+                        for sign, i, data in zip(signs, perm, slots)
+                    ]
+                    if row.parity and sum(k for k in integers if k is not None) % 2 != 0:
+                        continue
+                    return LatticeWitness(row.index, perm, signs, tuple(integers))
     return None
 
 
@@ -216,15 +192,14 @@ _SUM_SIGNS: Tuple[Tuple[int, int, int], ...] = (
 
 
 def condition_two(p: TriangleParams) -> Optional[OddSumWitness]:
-    """First of the four single-flip sums that is an odd integer, if any."""
-    return _condition_two_xs(p.inverses())
+    """First of the four single-flip sums that is an odd integer, if any.
 
-
-def _condition_two_xs(xs) -> Optional[OddSumWitness]:
-    """condition_two on integers: over the common denominator D of xs, a sum
-    is an odd integer exactly when its numerator is an odd multiple of D."""
-    D = math.lcm(*(x.denominator for x in xs))
-    n0, n1, n2 = (x.numerator * (D // x.denominator) for x in xs)
+    On integers: over the common denominator D of the inverses, a sum is
+    an odd integer exactly when its numerator is an odd multiple of D."""
+    x0, x1, x2 = p.inverses()
+    d0, d1, d2 = x0.denominator, x1.denominator, x2.denominator
+    D = math.lcm(d0, d1, d2)
+    n0, n1, n2 = x0.numerator * (D // d0), x1.numerator * (D // d1), x2.numerator * (D // d2)
     total = n0 + n1 + n2
     for signs, s in zip(_SUM_SIGNS, (total, total - 2 * n0, total - 2 * n1, total - 2 * n2)):
         if s % (2 * D) == D:
@@ -270,10 +245,7 @@ def decide_condition_ric(p: TriangleParams) -> KimuraVerdict:
     CONDITION_RIC_HOLDS is returned only after the exhaustive search over
     all 720 table assignments and all four sums found nothing.
     """
-    xs = p.inverses()
-    w: Optional[KimuraWitness] = _condition_one_xs(xs, [_residue(x) for x in xs])
-    if w is None:
-        w = _condition_two_xs(xs)
+    w = condition_one(p) or condition_two(p)
     if w is None:
         return _HOLDS
     return KimuraVerdict(ALGEBRAIC_SOLUTION_INDICATED, w)

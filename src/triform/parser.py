@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
-from .polynomials import Poly, RatFunc, height
+from .polynomials import RatFunc, height
 from .scalars import MAX_BITS, Q
 
 
@@ -287,7 +287,7 @@ def _lower_binop(node: BinOp, left: RatFunc, right: RatFunc) -> RatFunc:
     return result
 
 
-def to_ratfunc(node: ExprAST, variable: Optional[str] = None) -> RatFunc:
+def to_ratfunc(node: ExprAST) -> RatFunc:
     """Lower an AST into an exact rational function of its single variable.
 
     Raises ValueError when two distinct names occur, DivisionByZeroConstant
@@ -308,11 +308,7 @@ def to_ratfunc(node: ExprAST, variable: Optional[str] = None) -> RatFunc:
             scan(n.base)
 
     scan(node)
-    if variable is not None:
-        names.discard(variable)
-        if names:
-            raise ValueError(f"unexpected variable(s) {sorted(names)}; expected {variable}")
-    elif len(names) > 1:
+    if len(names) > 1:
         raise ValueError(f"expression mixes variables {sorted(names)}")
 
     def lower(n: ExprAST) -> RatFunc:
@@ -330,5 +326,5 @@ def to_ratfunc(node: ExprAST, variable: Optional[str] = None) -> RatFunc:
     return lower(node)
 
 
-def parse_ratfunc(text: str, variable: Optional[str] = None) -> RatFunc:
-    return to_ratfunc(parse_expr(text), variable)
+def parse_ratfunc(text: str) -> RatFunc:
+    return to_ratfunc(parse_expr(text))

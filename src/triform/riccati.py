@@ -64,6 +64,20 @@ class UnsupportedAtInfinity(ValueError):
     """(1/2)R grows at infinity; the local-exponent method does not apply."""
 
 
+# Declared work limit of the oracle: the number of exponent combos, the
+# product of the numbers of exponents at each pole and at infinity.
+# Measured with (1/2)R = -(u' + u^2), u = sum_{i=1..k} 2/(y - i), where
+# most combos reach the solve: at k = 8 (512 combos) the oracle takes
+# 0.7-1.0 s on a 2-core x86-64 with Python 3.11, at k = 9 (1024 combos)
+# 1.7-2.4 s and at k = 10 (2048 combos) 4.0 s.  The R of a triangle has at
+# most 8 combos.
+MAX_COMBOS = 512
+
+
+class TooManyCombos(ValueError):
+    """The oracle would enumerate more than MAX_COMBOS exponent combos."""
+
+
 @dataclass(frozen=True)
 class RiccatiEq:
     """du/dy + u^2 + (1/2) R(y) = 0, determined by R."""
@@ -247,6 +261,11 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
     exhaustive within the rational branch: an empty solution list means no
     rational solution exists.  A family counts as found: it is recorded in
     the certificate, only its members are not listed.
+
+    Raises NonRationalPoles when a pole is not rational,
+    UnsupportedAtInfinity when (1/2)R does not vanish to order >= 2 at
+    infinity, and TooManyCombos, before the enumeration, when the combos
+    would number above MAX_COMBOS.
     """
     r = e.half_R
     cert = SearchCertificate()
@@ -303,6 +322,11 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
         )
         return OracleResult((), cert)
     cert.exponents_inf = roots
+    count = math.prod(len(options) for _, _, options in local) * len(options_inf)
+    if count > MAX_COMBOS:
+        raise TooManyCombos(
+            f"the oracle would try {count} exponent combos, above the limit {MAX_COMBOS}"
+        )
 
     solutions: List[RatFunc] = []
     complete = True

@@ -178,40 +178,27 @@ class TriangularRecognition:
 def recognize_triangular(R: RatFunc) -> TriangularRecognition:
     """Invert build_triangular_R, recovering parameters up to sign.
 
+    R has the triangular form N / (y^2 (y - 1)^2) with deg N <= 2 exactly
+    when R.den divides y^2 (y - 1)^2 and R vanishes to order >= 2 at
+    infinity.  With N = (n0 + n1 y + n2 y^2)/L, the limits of y^2 R at 0,
+    (y - 1)^2 R at 1 and y^2 R at infinity are n0/L, (n0 + n1 + n2)/L and
+    n2/L, and each inverse square is 1 - 2 * limit.
+
     Raises NotTriangular when the poles are not contained in {0, 1} with
-    order <= 2, when rebuilding from the extracted local data does not
-    reproduce R, or when an inverse square is negative.
+    order <= 2, when R does not vanish to order >= 2 at infinity, when
+    rebuilding from the extracted local data does not reproduce R, or when
+    an inverse square is negative.
     """
-    y = Poly.variable()
-    ym1 = Poly.linear(Q(1))
-    den = R.den
-    # the denominator must be y^a * (y-1)^b with a, b <= 2
-    a = 0
-    while a < 3 and den.coeff(0) == 0:
-        den = den // y
-        a += 1
-    b = 0
-    while b < 3 and den(Q(1)) == 0:
-        den = den // ym1
-        b += 1
-    if den.degree != 0 or a > 2 or b > 2:
+    cofactor, rem = divmod(_TRI_DEN, R.den)
+    if not rem.is_zero:
         raise NotTriangular(f"poles of {R} are not contained in {{0, 1}} with order <= 2")
-    if not R.is_zero and R.degree_at_infinity > -2:
+    N = R.num * cofactor
+    if N.degree > 2:
         raise NotTriangular(f"{R} does not vanish to order >= 2 at infinity")
-
-    lim0 = (R * RatFunc(y * y)).evaluate(Q(0))
-    lim1 = (R * RatFunc(ym1 * ym1)).evaluate(Q(1))
-    if R.is_zero or R.degree_at_infinity < -2:
-        lim_inf = Q(0)
-    else:
-        lim_inf = R.num.leading / R.den.leading
-    b2 = 1 - 2 * lim0
-    c2 = 1 - 2 * lim1
-    a2 = 1 - 2 * lim_inf
-    inverse_squares = (a2, b2, c2)
-
-    L = math.lcm(a2.denominator, b2.denominator, c2.denominator)
-    A, B, C = (q.numerator * (L // q.denominator) for q in inverse_squares)
+    L = N.den
+    n0, n1, n2 = N.ints + (0,) * (3 - len(N.ints))
+    A, B, C = L - 2 * n2, L - 2 * n0, L - 2 * (n0 + n1 + n2)
+    inverse_squares = (Q(A, L), Q(B, L), Q(C, L))
     if _build_from_inverse_squares(A, B, C, L) != R:
         raise NotTriangular(
             f"rebuilding from local data {tuple(map(str, inverse_squares))} does not "

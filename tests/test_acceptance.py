@@ -11,9 +11,8 @@ import random
 import time
 
 from triform.kimura import (
-    TABLE,
-    _frac_matches,
-    _row_match,
+    _RESIDUE_MATCHES,
+    _residue,
     condition_one,
     condition_two,
     decide_condition_ric,
@@ -67,21 +66,14 @@ def test_criterion_1_hyperbolic_sweep_holds():
 
 
 def test_criterion_2_row_exclusions():
-    never_integer_rows = [TABLE[i - 1] for i in (3, 5, 7, 8, 10, 11, 12, 13, 15)]
-    rows_12 = [TABLE[0], TABLE[1]]
-    rows_9_14 = [TABLE[8], TABLE[13]]
     beta_frac = Q(2, 5)
     for p in hyperbolic_integer_triples(BOUND):
-        xs = p.inverses()
-        matched = _frac_matches(xs[0]) | _frac_matches(xs[1]) | _frac_matches(xs[2])
-        for row in rows_12:
-            assert _row_match(row, xs, matched) is None, f"row {row.index} hit {p}"
-        for row in never_integer_rows:
-            assert _row_match(row, xs, matched) is None, f"row {row.index} hit {p}"
+        # the exhaustive search hits no row, rows 1-2 and the parity rows
+        # included
+        assert condition_one(p) is None, f"a row hit {p}"
         # the 2/5 slot of rows 9 and 14 is unreachable from 1/n values
-        assert beta_frac not in matched, f"2/5 matched by {p}"
-        for row in rows_9_14:
-            assert _row_match(row, xs, matched) is None, f"row {row.index} hit {p}"
+        for x in p.inverses():
+            assert beta_frac not in _RESIDUE_MATCHES.get(_residue(x), ()), f"2/5 matched by {p}"
     # boundary behavior just outside the hyperbolic range
     w234 = condition_one(TriangleParams.parse("2,3,4"))
     assert w234 is not None and w234.row == 4

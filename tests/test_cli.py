@@ -11,6 +11,8 @@ import pytest
 import triform.cli as cli
 import triform.riccati as riccati
 from triform.cli import main
+from triform.polynomials import Poly, RatFunc
+from triform.scalars import Q
 from triform.schwarzian import TriangleParams
 
 FIELD_ORDER = [
@@ -455,6 +457,32 @@ class TestOracle:
         code, _ = run(["oracle", "--expr", "y"])
         assert code == 2
 
+    @staticmethod
+    def poles_with_two_exponents(k):
+        """R with (1/2)R = -(u' + u^2), u = sum_{i=1..k} 2/(y - i): the
+        exponents at each pole are 2 and -1, so the oracle has 2^k * 2
+        combos, most of which reach the solve."""
+        u = RatFunc.zero()
+        for i in range(1, k + 1):
+            u = u + RatFunc(Poly.const(2), Poly.linear(i))
+        return (u.derivative() + u * u).scale(Q(-2)).render("y")
+
+    def test_largest_accepted_combo_count_runs_fast(self):
+        assert 2**8 * 2 == riccati.MAX_COMBOS
+        start = time.perf_counter()
+        code, doc = run_json(["oracle", "--expr", self.poles_with_two_exponents(8)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and doc["oracle"]["searched"] == 512
+        assert doc["oracle"]["solutions"]
+
+    def test_first_refused_combo_count_exits_2_fast(self, capsys):
+        start = time.perf_counter()
+        code, text = run(["oracle", "--expr", self.poles_with_two_exponents(9)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == "error: the oracle would try 1024 exponent combos, above the limit 512\n"
+
 
 class TestSeriesCheck:
     def test_satisfied_leading_constraint(self):
@@ -500,3 +528,11 @@ class TestSeriesCheck:
             ["series-check", "--triangle", "1,inf,inf", "--truncation", "-3"]
         )
         assert doc["series"]["truncation"] == "-3"
+
+    @pytest.mark.parametrize("truncation, code", [("0", 0), ("1", 2), ("2", 2)])
+    def test_truncation_above_0_exits_2(self, truncation, code, capsys):
+        # a cutoff above 0 would drop the leading term a0 * w^0
+        argv = ["series-check", "--triangle", "1,inf,inf", "--truncation", truncation]
+        assert run(argv)[0] == code
+        want = f"error: bad --truncation value: {truncation} is above 0\n" if code else ""
+        assert capsys.readouterr().err == want

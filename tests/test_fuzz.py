@@ -121,9 +121,10 @@ def test_oracle(source, moebius_arg, degree_bound):
     st.one_of(st.just([]), sources),
     st.one_of(st.just([]), numbers.map(lambda v: [f"--lambda0={v}"])),
     st.one_of(st.just([]), exprs.map(lambda e: [f"--a0={e}"])),
+    st.one_of(st.just([]), st.integers(-8, 4).map(lambda t: [f"--truncation={t}"])),
 )
-def test_series_check(source, lambda0, a0):
-    assert_clean(["series-check", *source, *lambda0, *a0])
+def test_series_check(source, lambda0, a0, truncation):
+    assert_clean(["series-check", *source, *lambda0, *a0, *truncation])
 
 
 # --bound only over a small range: the sweep decides every hyperbolic

@@ -14,8 +14,9 @@ from triform.kimura import (
     TABLE,
     condition_one,
     condition_two,
+    _RESIDUE_MATCHES,
     _TABLE_FRACTIONS,
-    _frac_matches,
+    _residue,
     decide_condition_ric,
     hyperbolic_integer_sweep,
     hyperbolic_integer_triples,
@@ -257,4 +258,4 @@ class TestIntegerKernel:
         xs = [Q(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(2000)]
         for x in xs + sorted(_TABLE_FRACTIONS):
             want = frozenset(f for f in (x % 1, (-x) % 1) if f in _TABLE_FRACTIONS)
-            assert _frac_matches(x) == want, x
+            assert _RESIDUE_MATCHES.get(_residue(x), frozenset()) == want, x

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from triform.polynomials import Poly, RatFunc
-from triform.scalars import INF, ExtRational, Q
+from triform.scalars import INF, ExtRational, Q, rational_sqrt
 from triform.schwarzian import (
     ConstantInput,
     Moebius,
@@ -14,6 +14,8 @@ from triform.schwarzian import (
     SYMBOLIC_INVERSE_SQUARE,
     SingularMoebius,
     TriangleParams,
+    TriangularRecognition,
+    _build_from_inverse_squares,
     build_triangular_R,
     check_solution,
     is_moebius,
@@ -126,8 +128,6 @@ class TestRecognizer:
 
     def test_non_square_inverse_square_is_symbolic(self):
         # beta^-2 = 2 is not a rational square
-        from triform.schwarzian import _build_from_inverse_squares
-
         R = _build_from_inverse_squares(0, 2, 0, 1)  # (0, 2, 0) over L = 1
         rec = recognize_triangular(R)
         assert rec.inverse_squares == (Q(0), Q(2), Q(0))
@@ -286,3 +286,144 @@ class TestBuildTriangular:
             assert rec.params == tuple(
                 INF if s.is_infinite else ExtRational(abs(s.value)) for s in slots
             )
+
+
+def reference_recognize(R: RatFunc) -> TriangularRecognition:
+    """The recognizer by evaluation, kept as the reference for the integer
+    one: strip the poles at 0 and 1 one factor at a time, read each inverse
+    square off a local limit, and rebuild R from its partial fractions."""
+    y = Poly.variable()
+    ym1 = Poly.linear(Q(1))
+    den = R.den
+    a = 0
+    while a < 3 and den.coeff(0) == 0:
+        den = den // y
+        a += 1
+    b = 0
+    while b < 3 and den(Q(1)) == 0:
+        den = den // ym1
+        b += 1
+    if den.degree != 0 or a > 2 or b > 2:
+        raise NotTriangular(f"poles of {R} are not contained in {{0, 1}} with order <= 2")
+    if not R.is_zero and R.degree_at_infinity > -2:
+        raise NotTriangular(f"{R} does not vanish to order >= 2 at infinity")
+    lim0 = (R * RatFunc(y * y)).evaluate(Q(0))
+    lim1 = (R * RatFunc(ym1 * ym1)).evaluate(Q(1))
+    if R.is_zero or R.degree_at_infinity < -2:
+        lim_inf = Q(0)
+    else:
+        lim_inf = R.num.leading / R.den.leading
+    a2, b2, c2 = inverse_squares = (1 - 2 * lim_inf, 1 - 2 * lim0, 1 - 2 * lim1)
+    num = (ym1 * ym1).scale(1 - b2) + (y * y).scale(1 - c2) + (y * ym1).scale(b2 + c2 - a2 - 1)
+    if RatFunc(num.scale(Q(1, 2)), (y * ym1) ** 2) != R:
+        raise NotTriangular(
+            f"rebuilding from local data {tuple(map(str, inverse_squares))} does not "
+            f"reproduce {R}",
+            inverse_squares,
+        )
+    params = []
+    for inv2 in inverse_squares:
+        if inv2 < 0:
+            raise NotTriangular(
+                f"negative inverse square among {tuple(map(str, inverse_squares))}",
+                inverse_squares,
+            )
+        if inv2 == 0:
+            params.append(INF)
+            continue
+        root = rational_sqrt(inv2)
+        if root is None:
+            params.append(SYMBOLIC_INVERSE_SQUARE)
+        else:
+            params.append(ExtRational(1 / root))
+    return TriangularRecognition(inverse_squares, tuple(params))
+
+
+def _outcome(recognize, R):
+    """(inverse squares, params) of a recognition, or the NotTriangular
+    message with its inverse_squares attribute."""
+    try:
+        rec = recognize(R)
+    except NotTriangular as exc:
+        return "NotTriangular", str(exc), exc.inverse_squares
+    return "recognized", rec.inverse_squares, rec.params
+
+
+def _random_slot(rng: random.Random) -> ExtRational:
+    """inf, a small integer, or a signed rational of up to 30 digits."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return INF
+    if kind == 1:
+        return ExtRational(Q(rng.choice((1, -1)) * rng.randint(1, 12)))
+    digits = rng.randint(1, 30)
+    n, d = rng.randint(1, 10**digits), rng.randint(1, 10**digits)
+    return ExtRational(Q(rng.choice((1, -1)) * n, d))
+
+
+# the six Moebius maps that permute 0, 1 and infinity
+_ANHARMONIC = [
+    (1, 0, 0, 1), (-1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 1, -1), (0, 1, -1, 1), (1, -1, 1, 0)
+]
+
+
+def _seeded_Rs(seed: int):
+    """Coefficient functions on both sides of every check the recognizer
+    makes, by kind."""
+    rng = random.Random(seed)
+    y, ym1 = Poly.variable(), Poly.linear(1)
+    cases = [
+        ("zero", RatFunc.zero()),
+        ("degree -1", rf((1,), (0, 1))),
+        ("degree -3", rf((1,), (0, 0, -1, 1))),  # 1/(y^2 (y - 1))
+    ]
+    for _ in range(150):
+        p = TriangleParams(*(_random_slot(rng) for _ in range(3)))
+        R = build_triangular_R(p)
+        cases.append(("triangle", R))
+        m = Moebius(*rng.choice(_ANHARMONIC))
+        cases.append(("anharmonic pullback", moebius_pullback(R, m)))
+        cases.append(("Moebius pullback", moebius_pullback(R, random_moebius(rng))))
+    for _ in range(100):
+        num = random_poly(rng, 4)
+        cases.append(("order 3 at 0", RatFunc(num, y ** 3 * ym1 ** rng.randint(0, 2))))
+        cases.append(("order 3 at 1", RatFunc(num, y ** rng.randint(0, 2) * ym1 ** 3)))
+        pole = Poly.linear(Q(rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(1, 3)))
+        den = y ** rng.randint(0, 2) * pole ** rng.randint(1, 2)
+        cases.append(("pole elsewhere", RatFunc(num, den)))
+        a, b = rng.choice(((2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)))
+        top = (y ** (a + b - 1)).scale(rng.randint(1, 9))
+        cases.append(("degree -1", RatFunc(top + random_poly(rng, a + b - 2), y ** a * ym1 ** b)))
+        # numerators of degree <= 2 over y^a (y - 1)^b, in lowest terms or not
+        small = random_poly(rng, 2)
+        den = y ** rng.randint(0, 2) * ym1 ** rng.randint(0, 2)
+        cases.append(("low order", RatFunc(small, den)))
+        L = rng.randint(1, 10**rng.randint(1, 30))
+        A, B, C = (rng.randint(-L, 3 * L) for _ in range(3))
+        cases.append(("inverse squares", _build_from_inverse_squares(A, B, C, L)))
+    return cases
+
+
+class TestRecognizerMatchesReference:
+    def test_same_outcome_on_seeded_R(self):
+        kinds = {}
+        for kind, R in _seeded_Rs(5503):
+            want = _outcome(reference_recognize, R)
+            assert _outcome(recognize_triangular, R) == want, (kind, str(R))
+            kinds.setdefault(kind, set()).add(want[0])
+            if want[0] == "NotTriangular":
+                kinds[kind].add(
+                    "poles" if "poles of" in want[1]
+                    else "infinity" if "does not vanish" in want[1]
+                    else "negative" if want[1].startswith("negative")
+                    else "rebuild"
+                )
+            elif SYMBOLIC_INVERSE_SQUARE in want[2]:
+                kinds[kind].add("symbolic")
+        assert "recognized" in kinds["triangle"] and "recognized" in kinds["anharmonic pullback"]
+        assert "poles" in kinds["order 3 at 0"] and "poles" in kinds["order 3 at 1"]
+        assert "poles" in kinds["pole elsewhere"] and "poles" in kinds["Moebius pullback"]
+        assert kinds["degree -1"] == {"NotTriangular", "infinity"}
+        assert kinds["degree -3"] == {"recognized", "symbolic"}  # inverse squares (1, 3, 1)
+        assert kinds["zero"] == {"recognized"}
+        assert {"negative", "symbolic", "recognized"} <= kinds["inverse squares"]
