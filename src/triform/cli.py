@@ -63,6 +63,11 @@ CITATIONS = {
     ),
 }
 
+# the fixed field order of every output document
+FIELDS = (
+    "input", "normalized", "triangular", "hyperbolic", "kimura", "oracle", "conclusion", "citations"
+)
+
 
 class InputError(ValueError):
     pass
@@ -161,47 +166,49 @@ def _recognize(R: RatFunc):
     return info, None, True
 
 
+def _document(echo: dict, R: Optional[RatFunc], **fields) -> dict:
+    """The output document: the eight fixed fields in their order, None
+    unless given, then any further fields in the order given."""
+    doc = dict.fromkeys(FIELDS)
+    doc.update(input=echo, normalized=None if R is None else R.render("y"), **fields)
+    return doc
+
+
 def cmd_analyze(args, out) -> int:
     params, R, echo = _resolve_input(args)
-    doc = {"input": echo, "normalized": R.render("y")}
-    doc["triangular"], recognized, symbolic = _recognize(R)
+    triangular, recognized, symbolic = _recognize(R)
     if params is None:
         params = recognized
 
     if params is None:
-        doc["hyperbolic"] = None
-        doc["kimura"] = None
-        doc["oracle"] = None
-        doc["conclusion"] = INDETERMINATE if symbolic else NOT_TRIANGULAR
-        doc["citations"] = [CITATIONS["table"]]
-        _emit(doc, args, out)
-        return 0
-
-    doc["hyperbolic"] = params.is_hyperbolic
-    verdict = kimura.decide_condition_ric(params)
-    doc["kimura"] = {
-        "outcome": verdict.outcome,
-        "witness": _witness_json(verdict.witness),
-    }
+        doc = _document(
+            echo, R, triangular=triangular,
+            conclusion=INDETERMINATE if symbolic else NOT_TRIANGULAR,
+            citations=[CITATIONS["table"]],
+        )
+        return _emit(doc, args, out)
 
     oracle_doc = None
     status = None
     if args.oracle:
         report = riccati.cross_check(params, degree_bound=args.degree_bound)
-        status = report.status
+        verdict, status = report.verdict, report.status
         oracle_doc = {
             "solutions": [u.render("y") for u in report.oracle.solutions],
             "searched": len(report.oracle.certificate.combos),
             "consistency": report.status,
             "note": report.note,
         }
-    doc["oracle"] = oracle_doc
-    doc["conclusion"] = (
-        NO_ORDER_TWO_SUBVARIETIES if verdict.holds else ALGEBRAIC_SOLUTION_INDICATED
+    else:
+        verdict = kimura.decide_condition_ric(params)
+    doc = _document(
+        echo, R, triangular=triangular, hyperbolic=params.is_hyperbolic,
+        kimura={"outcome": verdict.outcome, "witness": _witness_json(verdict.witness)},
+        oracle=oracle_doc,
+        conclusion=NO_ORDER_TWO_SUBVARIETIES if verdict.holds else ALGEBRAIC_SOLUTION_INDICATED,
+        citations=[CITATIONS["table"], CITATIONS["liouvillian"], CITATIONS["conclusion"]],
     )
-    doc["citations"] = [CITATIONS["table"], CITATIONS["liouvillian"], CITATIONS["conclusion"]]
-    _emit(doc, args, out)
-    return 3 if status == riccati.CONTRADICTION else 0
+    return _emit(doc, args, out, 3 if status == riccati.CONTRADICTION else 0)
 
 
 def cmd_sweep(args, out) -> int:
@@ -220,34 +227,27 @@ def cmd_sweep(args, out) -> int:
         results = kimura.hyperbolic_integer_sweep(args.bound, decide)
     except kimura.BoundTooSmall as exc:
         raise InputError(f"bad --bound value: {exc}") from exc
-    bad = [(p, v) for p, v in results if not v.holds]
-    doc = {
-        "input": {"bound": args.bound},
-        "normalized": None,
-        "triangular": None,
-        "hyperbolic": True,
-        "kimura": {
-            "outcome": kimura.CONDITION_RIC_HOLDS if not bad else ALGEBRAIC_SOLUTION_INDICATED,
+    fired = sum(not v.holds for _, v in results)
+    doc = _document(
+        {"bound": args.bound}, None, hyperbolic=True,
+        kimura={
+            "outcome": ALGEBRAIC_SOLUTION_INDICATED if fired else kimura.CONDITION_RIC_HOLDS,
             "witness": None,
         },
-        "oracle": None,
-        "conclusion": (
-            f"all {len(results)} hyperbolic triples: ConditionRicHolds"
-            if not bad
-            else f"{len(bad)} of {len(results)} triples fired a witness"
+        conclusion=(
+            f"{fired} of {len(results)} triples fired a witness"
+            if fired
+            else f"all {len(results)} hyperbolic triples: ConditionRicHolds"
         ),
-        "citations": [CITATIONS["table"], CITATIONS["conclusion"]],
-    }
+        citations=[CITATIONS["table"], CITATIONS["conclusion"]],
+    )
     if args.cross_check:
         doc["input"]["degree_bound"] = args.degree_bound
         doc["oracle"] = {"statuses": statuses, "contradictions": contradictions}
         doc["citations"].insert(1, CITATIONS["liouvillian"])
     if args.full:
-        doc["table"] = [
-            {"triangle": str(p), "outcome": v.outcome} for p, v in results
-        ]
-    _emit(doc, args, out)
-    return 0 if not bad and not contradictions else 3
+        doc["table"] = [{"triangle": str(p), "outcome": v.outcome} for p, v in results]
+    return _emit(doc, args, out, 3 if fired or contradictions else 0)
 
 
 def cmd_series_check(args, out) -> int:
@@ -293,40 +293,25 @@ def cmd_series_check(args, out) -> int:
             a0 = nonzero[0].scale(Q(2))
 
     report = puiseux.leading_constraints(lambda0, a0, R)
-    shown = [report.obstruction_coefficient, report.constraint_residual]
-    shown.append(report.half_riccati_solution)
-    E = None
-    if a0 is not None and lambda0 == 0:
-        # demonstrate the residual at the requested truncation
-        U = puiseux.PuiseuxSeries.monomial(a0, Q(0), cutoff=Q(args.truncation))
-        E = puiseux.residual(U, R)
-        shown += [c for _, c in E.terms]
+    shown = (report.obstruction_coefficient, report.constraint_residual, report.half_riccati_solution)
     check_output_size("the series-check result", *(f for f in shown if f is not None))
-    doc = {
-        "input": echo,
-        "normalized": R.render("y"),
-        "triangular": None,
-        "hyperbolic": None,
-        "kimura": None,
-        "oracle": None,
-        "conclusion": report.describe(),
-        "citations": [CITATIONS["conclusion"]],
-        "series": {
-            "lambda0": str(report.lambda0),
-            "a0": None if report.a0 is None else report.a0.render("y"),
-            "obstruction_exponent": (
-                None
-                if report.obstruction_exponent is None
-                else str(report.obstruction_exponent)
-            ),
-            "satisfied": report.satisfied,
-            "truncation": str(args.truncation),
-        },
+    series = {
+        "lambda0": str(report.lambda0),
+        "a0": None if report.a0 is None else report.a0.render("y"),
+        "obstruction_exponent": (
+            None if report.obstruction_exponent is None else str(report.obstruction_exponent)
+        ),
+        "satisfied": report.satisfied,
+        "truncation": str(args.truncation),
     }
-    if E is not None:
-        doc["series"]["residual"] = E.render()
-    _emit(doc, args, out)
-    return 0
+    if report.constraint_residual is not None:
+        # E(U) for U = a0 * w^0 + O(w^truncation) is the constraint at w^0
+        E = puiseux.PuiseuxSeries.from_ratfunc(report.constraint_residual, Q(args.truncation))
+        series["residual"] = E.render()
+    doc = _document(
+        echo, R, conclusion=report.describe(), citations=[CITATIONS["conclusion"]], series=series
+    )
+    return _emit(doc, args, out)
 
 
 def cmd_oracle(args, out) -> int:
@@ -343,27 +328,21 @@ def cmd_oracle(args, out) -> int:
         conclusion = f"{found} rational solution(s)"
     else:
         conclusion = "no rational solutions (rational branch exhaustive)"
-    doc = {
-        "input": echo,
-        "normalized": R.render("y"),
-        "triangular": None,
-        "hyperbolic": None,
-        "kimura": None,
-        "oracle": {
-            "equation": eq.render(),
-            "solutions": [u.render("y") for u in result.solutions],
-            "searched": len(result.certificate.combos),
-            "families": list(result.certificate.families),
-            "notes": list(result.certificate.notes),
-        },
-        "conclusion": conclusion,
-        "citations": [CITATIONS["liouvillian"]],
+    oracle_doc = {
+        "equation": eq.render(),
+        "solutions": [u.render("y") for u in result.solutions],
+        "searched": len(result.certificate.combos),
+        "families": list(result.certificate.families),
+        "notes": list(result.certificate.notes),
     }
-    _emit(doc, args, out)
-    return 0
+    doc = _document(
+        echo, R, oracle=oracle_doc, conclusion=conclusion, citations=[CITATIONS["liouvillian"]]
+    )
+    return _emit(doc, args, out)
 
 
-def _emit(doc: dict, args, out) -> None:
+def _emit(doc: dict, args, out, code: int = 0) -> int:
+    """Write doc as JSON or text and return the exit code."""
     if args.json:
         text = json.dumps(doc, indent=2, sort_keys=False)
     else:
@@ -373,6 +352,7 @@ def _emit(doc: dict, args, out) -> None:
             fh.write(text + "\n")
     else:
         print(text, file=out)
+    return code
 
 
 def _human(doc: dict) -> str:

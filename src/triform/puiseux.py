@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .polynomials import RatFunc
-from .riccati import half_riccati_residual
 from .scalars import Q
 
 EXACT = float("-inf")  # cutoff sentinel: nothing is truncated
@@ -281,7 +280,7 @@ def leading_constraints(
         return ConstraintReport(lambda0, a0, Q(0), R, None, None, None, None)
     if a0 is None:
         return ConstraintReport(lambda0, None, None, None, None, None, None, None)
-    res = half_riccati_residual(a0, R)
+    res = residual(PuiseuxSeries.monomial(a0, 0), R).coefficient(0)
     ok = res.is_zero
     half = a0.scale(Q(1, 2)) if ok else None
     return ConstraintReport(lambda0, a0, None, None, None, res, ok, half)

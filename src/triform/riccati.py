@@ -21,15 +21,17 @@ auxiliary monic polynomial P with
     theta = sum of e_c/(y - c);
 
 each success gives u = theta + P'/P, verified by exact substitution before
-it is returned.  As (1/2)R vanishes to order >= 2 at infinity, the
-operator on P maps y^j to degree at most j + deg(denominator) - 2, with top
-coefficient a multiple of I(j), the indicial polynomial at infinity; so the
-linear system for P is triangular, and P comes from a recurrence that fixes
-its coefficients one at a time from the top.  Where I has a second integer
-root k below d, p_k is a free constant; when no remaining equation fixes
-it, the solutions form a family with one movable constant, recorded in the
-search certificate with the representative p_k = 0, and its members are
-not enumerated.
+it is returned, once per distinct u.  With S the product of the y - c,
+theta = T/S for a polynomial T, and the equation cleared of S^2 has
+polynomial coefficients, of which those that do not depend on the combo
+are built once per R.  As (1/2)R vanishes to order >= 2 at infinity, the
+operator maps y^j to degree at most j + deg(S^2) - 2, with top coefficient
+I(j), the indicial polynomial at infinity; so the linear system for P is
+triangular, and P comes from a recurrence that fixes its coefficients one
+at a time from the top.  Where I has a second integer root k below d, p_k
+is a free constant; when no remaining equation fixes it, the solutions form
+a family with one movable constant, recorded in the search certificate with
+the representative p_k = 0, and its members are not enumerated.
 """
 
 from __future__ import annotations
@@ -42,14 +44,13 @@ from typing import List, Optional, Tuple
 from .kimura import KimuraVerdict, decide_condition_ric
 from .polynomials import (
     NotSplitOverRationals,
-    OutputTooLarge,
     Poly,
     RatFunc,
     check_output_size,
     int_poly,
     linear_factorization,
 )
-from .scalars import MAX_OUTPUT_BITS, Q, rational_sqrt
+from .scalars import Q, rational_sqrt
 from .schwarzian import TriangleParams, build_triangular_R
 
 
@@ -126,9 +127,6 @@ class SearchCertificate:
     notes: List[str] = field(default_factory=list)
     families: List[str] = field(default_factory=list)
 
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -154,11 +152,7 @@ def _indicial_roots_of(n: int, d: int) -> Tuple:
     None, and options hold (root, text, numerator, denominator) per root.
     Raises OutputTooLarge when kappa, whose text the oracle may print, has
     an integer above MAX_OUTPUT_BITS bits."""
-    bits = max(abs(n), d).bit_length()
-    if bits > MAX_OUTPUT_BITS:
-        raise OutputTooLarge(
-            f"kappa has integers of {bits} bits, above the output limit {MAX_OUTPUT_BITS}"
-        )
+    check_output_size("kappa", int_poly([n], d))
     kappa = Q(n, d)
     s = rational_sqrt(1 - 4 * kappa)
     if s is None:
@@ -198,26 +192,23 @@ def _lowest(n: int, d: int) -> Tuple[int, int]:
     return n // g, d // g
 
 
-def _solve_monic_polynomial(d: int, A: RatFunc, B: RatFunc):
-    """Monic P of degree d with P'' + A P' + B P = 0.
+def _solve_monic_polynomial(d: int, D: Poly, DA: Poly, DB: Poly):
+    """Monic P of degree d with L(P) = D P'' + (DA) P' + (DB) P = 0, the
+    equation P'' + A P' + B P = 0 cleared of the denominator D.
 
     Returns ("unique", P), ("family", P0, 1) with P0 the member whose
     coefficient at the free index is 0, or ("none", None).
 
-    Cleared of denominators the equation is L(P) = D P'' + (DA) P' + (DB) P
-    = 0.  As A and B vanish to orders 1 and 2 at infinity, L maps y^j to
-    degree <= j + deg D - 2, with top coefficient lead(D) I(j), I the
-    indicial polynomial at infinity.  So the system is triangular from the
-    top: each p_j with I(j) != 0 is fixed by row j + deg D - 2.  I is
-    quadratic with d a root, so at most one index k < d has I(k) = 0; p_k
-    is the one free constant, and the rows that no p_j fixed decide it.
-    (Should I(d) != 0, the top row of L(y^d) survives every step and the
-    answer is "none".)
+    As A and B vanish to orders 1 and 2 at infinity, L maps y^j to degree
+    <= j + deg D - 2, with top coefficient lead(D) I(j), I the indicial
+    polynomial at infinity.  So the system is triangular from the top: each
+    p_j with I(j) != 0 is fixed by row j + deg D - 2.  I is quadratic with d
+    a root, so at most one index k < d has I(k) = 0; p_k is the one free
+    constant, and the rows that no p_j fixed decide it.  (Should I(d) != 0,
+    the top row of L(y^d) survives every step and the answer is "none".)
+    The answer depends only on the solutions, so any polynomial multiple of
+    the operator gives the same one.
     """
-    g = A.den.gcd(B.den)
-    D = A.den * (B.den // g)
-    DA = A.num * (D // A.den)
-    DB = B.num * (D // B.den)
     shift = D.degree - 2
 
     def image(mono: Poly) -> Poly:
@@ -280,7 +271,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
             raise NonRationalPoles(str(exc)) from exc
         for pole, order, text, (p, q), h in poles:
             if order > 2:
-                cert.note(
+                cert.notes.append(
                     f"pole {text} of order {order} > 2: no rational solution can "
                     "cancel it (simple poles of u give order <= 2 in u' + u^2)"
                 )
@@ -293,7 +284,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
                 n, d = _lowest(vn * h[1], vd * h[0])
             kappa, roots, options = _indicial_roots_of(n, d)
             if roots is None:
-                cert.note(
+                cert.notes.append(
                     f"IrrationalLocalExponent at pole {text} (kappa = {kappa}): "
                     "no rational solution passes through this point"
                 )
@@ -316,7 +307,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
         n, d = 0, 1
     cert.kappa_inf, roots, options_inf = _indicial_roots_of(n, d)
     if roots is None:
-        cert.note(
+        cert.notes.append(
             f"IrrationalLocalExponent at infinity (kappa = {cert.kappa_inf}): "
             "no rational solution exists"
         )
@@ -330,54 +321,59 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
 
     solutions: List[RatFunc] = []
     complete = True
+    parts = None  # S, S/(y - c) per pole, S', S^2 and S^2 r: built at the first solve
     for choice, residues, text_inf, text_d, d in _exponent_combinations(local, options_inf):
-        entry = {
-            "residues": residues,
-            "exponent_at_infinity": text_inf,
-            "degree": text_d,
-            "status": "",
-        }
+        entry = {"residues": residues, "exponent_at_infinity": text_inf, "degree": text_d}
+        cert.combos.append(entry)  # each branch below sets its "status"
         if d is None or d < 0:
             entry["status"] = "pruned: degree not a nonnegative integer"
-            cert.combos.append(entry)
             continue
         if d > degree_bound:
             entry["status"] = f"pruned: degree {d} exceeds bound {degree_bound}"
-            cert.combos.append(entry)
             complete = False
             continue
-        theta = RatFunc.zero()
-        for c, ec in choice:
-            theta = theta + RatFunc(Poly.const(ec), Poly.linear(c))
-        A = theta.scale(Q(2))
-        B = theta.derivative() + theta * theta + r
-        outcome = _solve_monic_polynomial(d, A, B)
+        if parts is None:
+            parts = _operator_parts(r, [pole for pole, _, _ in local])
+        S, cofactors, dS, S2, W = parts
+        # theta = T/S; clearing S^2 from P'' + 2 theta P' + (theta' + theta^2 + r) P
+        T = Poly.zero()
+        for (_, ec), cofactor in zip(choice, cofactors):
+            T = T + cofactor.scale(ec)
+        outcome = _solve_monic_polynomial(
+            d, S2, (T * S).scale(2), T.derivative() * S - T * dS + T * T + W
+        )
         if outcome[0] == "none":
             entry["status"] = "no auxiliary polynomial"
-            cert.combos.append(entry)
-            continue
-        if outcome[0] == "family":
+        elif outcome[0] == "family":
             _, P0, dim = outcome
+            theta = RatFunc(T, S)
             check_output_size("the family representative", P0, theta)
             entry["status"] = f"family with {dim} movable constant(s)"
-            cert.combos.append(entry)
             cert.families.append(
                 f"u = theta + P'/P with theta = {theta}, deg P = {d}, "
                 f"{dim} free parameter(s); representative P = {P0}"
             )
-            continue
-        P = outcome[1]
-        u = theta + RatFunc(P.derivative(), P) if d > 0 else theta
-        if not e.residual(u).is_zero:
-            entry["status"] = "candidate failed exact substitution"
-            cert.combos.append(entry)
-            continue
-        check_output_size("the solution", u)
-        entry["status"] = f"solution u = {u}"
-        cert.combos.append(entry)
-        if u not in solutions:
-            solutions.append(u)
+        else:
+            P = outcome[1]
+            u = RatFunc(T * P + S * P.derivative(), S * P)  # theta + P'/P
+            if u not in solutions:  # a known u was verified against this R
+                if not e.residual(u).is_zero:
+                    entry["status"] = "candidate failed exact substitution"
+                    continue
+                check_output_size("the solution", u)
+                solutions.append(u)
+            entry["status"] = f"solution u = {u}"
     return OracleResult(tuple(solutions), cert, complete)
+
+
+def _operator_parts(r: RatFunc, poles: List) -> Tuple:
+    """(S, the cofactors S/(y - c), S', S^2, W = S^2 r) for S the product of
+    y - c over the finite poles c of r.  Every pole of r has order <= 2, so
+    W is a polynomial."""
+    linears = [Poly.linear(c) for c in poles]
+    S = math.prod(linears, start=Poly.one())
+    S2 = S * S
+    return S, [S // lin for lin in linears], S.derivative(), S2, r.num * (S2 // r.den)
 
 
 def _exponent_combinations(local: List[Tuple], options_inf: Tuple):

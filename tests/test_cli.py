@@ -9,6 +9,7 @@ import time
 import pytest
 
 import triform.cli as cli
+import triform.kimura as kimura
 import triform.riccati as riccati
 from triform.cli import main
 from triform.polynomials import Poly, RatFunc
@@ -536,3 +537,38 @@ class TestSeriesCheck:
         assert run(argv)[0] == code
         want = f"error: bad --truncation value: {truncation} is above 0\n" if code else ""
         assert capsys.readouterr().err == want
+
+
+class TestComputedOnce:
+    def test_series_check_differentiates_a0_once(self, monkeypatch):
+        # E(U) for U = a0 * w^0 is the constraint a0' + a0^2/2 + R at w^0:
+        # the report's constraint is printed, not a second residual
+        a0 = RatFunc(Poly((-1, 2)), Poly((0, -1, 1)))
+        real = RatFunc.derivative
+        calls = []
+
+        def counting(self):
+            calls.append(self == a0)
+            return real(self)
+
+        monkeypatch.setattr(RatFunc, "derivative", counting)
+        code, doc = run_json(["series-check", "--triangle", "1,inf,inf", "--a0", str(a0)])
+        assert code == 0 and doc["series"]["satisfied"] is True
+        assert doc["series"]["residual"] == "0 + O(w^(-5))"
+        assert sum(calls) == 1
+
+    def test_analyze_oracle_decides_once(self, monkeypatch):
+        # cross_check's verdict is the one printed; the table is not re-run
+        real = kimura.decide_condition_ric
+        calls = []
+
+        def counting(p):
+            calls.append(str(p))
+            return real(p)
+
+        monkeypatch.setattr(kimura, "decide_condition_ric", counting)
+        monkeypatch.setattr(riccati, "decide_condition_ric", counting)
+        code, doc = run_json(["analyze", "--triangle", "1/3,inf,inf", "--oracle"])
+        assert code == 0 and doc["oracle"]["consistency"] == riccati.CONSISTENT
+        assert doc["kimura"]["outcome"] == real(TriangleParams.parse("1/3,inf,inf")).outcome
+        assert len(calls) == 1

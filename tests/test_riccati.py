@@ -450,8 +450,9 @@ def test_solver_matches_gauss_jordan_reference(monkeypatch):
     solve = riccati._solve_monic_polynomial
     seen = Counter()
 
-    def checked(d, A, B):
-        got = solve(d, A, B)
+    def checked(d, D, DA, DB):
+        got = solve(d, D, DA, DB)
+        A, B = RatFunc(DA, D), RatFunc(DB, D)
         assert got == reference_solve_monic_polynomial(d, A, B), (d, str(A), str(B))
         seen[got[0]] += 1
         return got
@@ -466,3 +467,25 @@ def test_solver_matches_gauss_jordan_reference(monkeypatch):
     for R in population:
         rational_solutions(RiccatiEq(R))
     assert seen["family"] >= 100 and seen["unique"] >= 1000 and seen["none"] >= 500, seen
+
+
+def test_each_distinct_candidate_is_substituted_once(monkeypatch):
+    # u = sum_{i=1..3} 2/(y - i): the 8 combos that end in "solution" all
+    # give this u, and only the first is checked by substitution
+    u = RatFunc.zero()
+    for i in (1, 2, 3):
+        u = u + RatFunc(Poly((2,)), Poly.linear(i))
+    e = RiccatiEq((u.derivative() + u * u).scale(Q(-2)))
+    real = RiccatiEq.residual
+    calls = []
+
+    def counting(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(RiccatiEq, "residual", counting)
+    res = rational_solutions(e)
+    assert res.solutions == (u,)
+    solved = [c for c in res.certificate.combos if c["status"].startswith("solution")]
+    assert len(solved) == 8 and {c["status"] for c in solved} == {f"solution u = {u}"}
+    assert calls == [u]
