@@ -20,8 +20,8 @@ import operator
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
-from .polynomials import RatFunc, height
-from .scalars import MAX_BITS, Q
+from .polynomials import Poly, RatFunc, height, int_poly
+from .scalars import MAX_BITS
 
 
 class ExprSyntaxError(ValueError):
@@ -253,6 +253,12 @@ class ExpressionTooLarge(ValueError):
     pass
 
 
+# A polynomial subtree lowers to a Poly, and a RatFunc is built only once a
+# non-constant divisor appears.  A Poly p has the value of the RatFunc p/1,
+# with the same lengths and height, so the size checks read the same
+# numbers in the same node order as on a RatFunc for every node.
+_X, _ONE = Poly.variable(), Poly.one()
+_Lowered = Union[Poly, RatFunc]
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
@@ -262,27 +268,46 @@ def _check(node: ExprAST, what: str, value: int, limit: int) -> None:
         raise ExpressionTooLarge(f"{text} may reach {what} {value}, above the limit {limit}")
 
 
-def _lower_pow(node: Pow, base: RatFunc) -> RatFunc:
+def _terms(f: _Lowered) -> Tuple[Poly, Poly]:
+    """(numerator, denominator) of a lowered value."""
+    return (f, _ONE) if type(f) is Poly else (f.num, f.den)
+
+
+def _as_ratfunc(f: _Lowered) -> RatFunc:
+    return RatFunc._raw(f, _ONE) if type(f) is Poly else f
+
+
+def _lower_pow(node: Pow, base: _Lowered) -> _Lowered:
     """Checked before expanding: the integers of P**e, for an integer P of
     degree <= k and height <= h, are at most ((k + 1) * h)**e."""
-    k, e = max(base.num.degree, base.den.degree, 0), node.exponent
+    num, den = _terms(base)
+    k, e = max(num.degree, den.degree, 0), node.exponent
     _check(node, "degree", k * e, MAX_DEGREE)
     _check(node, "integer bits", ((k + 1) * height(base) - 1).bit_length() * e, MAX_BITS)
+    if base == _X:
+        return int_poly([0] * e + [1], 1)
     return base**e
 
 
-def _lower_binop(node: BinOp, left: RatFunc, right: RatFunc) -> RatFunc:
+def _lower_binop(node: BinOp, left: _Lowered, right: _Lowered) -> _Lowered:
     """The degree bound of a/b op c/d is checked before any product or gcd
     starts, the integers on the result.  a, b, c, d count coefficients
     (degree + 1), so a bound on the sum of two degrees is 2 less."""
-    a, b = len(left.num.ints), len(left.den.ints)
-    c, d = len(right.num.ints), len(right.den.ints)
+    (ln, ld), (rn, rd) = _terms(left), _terms(right)
+    a, b, c, d = len(ln.ints), len(ld.ints), len(rn.ints), len(rd.ints)
     plus = (a + d, c + b, b + d)
     bounds = {"+": plus, "-": plus, "*": (a + c, b + d), "/": (a + d, b + c)}
-    _check(node, "degree", max(bounds[node.op]) - 2, MAX_DEGREE)
-    if node.op == "/" and right.is_zero:
+    op = node.op
+    _check(node, "degree", max(bounds[op]) - 2, MAX_DEGREE)
+    if op == "/" and right.is_zero:
         raise DivisionByZeroConstant(f"division by zero in {print_expr(node)}")
-    result = _OPERATORS[node.op](left, right)
+    if type(left) is not Poly or type(right) is not Poly or (op == "/" and c > 1):
+        result = _OPERATORS[op](_as_ratfunc(left), _as_ratfunc(right))
+    elif op != "/":
+        result = _OPERATORS[op](left, right)
+    else:  # a constant divisor n/m: multiply by m/n
+        n, m = right.ints[0], right.den
+        result = int_poly([x * m for x in left.ints], left.den * n)
     _check(node, "integer bits", height(result).bit_length(), MAX_BITS)
     return result
 
@@ -311,19 +336,19 @@ def to_ratfunc(node: ExprAST) -> RatFunc:
     if len(names) > 1:
         raise ValueError(f"expression mixes variables {sorted(names)}")
 
-    def lower(n: ExprAST) -> RatFunc:
+    def lower(n: ExprAST) -> _Lowered:
         if isinstance(n, Num):
             _check(n, "integer bits", n.value.bit_length(), MAX_BITS)
-            return RatFunc.const(Q(n.value))
+            return int_poly([n.value], 1)
         if isinstance(n, Var):
-            return RatFunc.variable()
+            return _X
         if isinstance(n, Neg):
             return -lower(n.operand)
         if isinstance(n, Pow):
             return _lower_pow(n, lower(n.base))
         return _lower_binop(n, lower(n.left), lower(n.right))
 
-    return lower(node)
+    return _as_ratfunc(lower(node))
 
 
 def parse_ratfunc(text: str) -> RatFunc:

@@ -172,8 +172,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return result
 
     def __divmod__(self, other: "Poly") -> Tuple["Poly", "Poly"]:
@@ -281,26 +282,27 @@ _X = Poly((0, 1))
 
 
 def render_poly(p: Poly, var: str) -> str:
-    if p.is_zero:
+    """p with descending terms; each coefficient's magnitude is printed as
+    str(Fraction) prints it, reduced from the integers n/den as m or m/d."""
+    ints, den = p.ints, p.den
+    if not ints:
         return "0"
     parts = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
-        if c == 0:
+    for k in range(len(ints) - 1, -1, -1):
+        n = ints[k]
+        if not n:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
+        m = -n if n < 0 else n
+        g = math.gcd(m, den)
+        mag = str(m // g) if g == den else f"{m // g}/{den // g}"
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
-            head = "" if mag == 1 else f"{mag}*"
+            head = "" if m == den else f"{mag}*"
             body = f"{head}{var}" + (f"^{k}" if k > 1 else "")
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+        parts.append(f" - {body}" if n < 0 else f" + {body}")
+    text = "".join(parts)  # each part starts with " + " or " - "
+    return ("-" if text[1] == "-" else "") + text[3:]
 
 
 class RatFunc:
@@ -500,7 +502,7 @@ _RF_X = RatFunc(_X)
 def height(f) -> int:
     """The largest integer of the Poly or RatFunc f, in absolute value."""
     polys = (f,) if isinstance(f, Poly) else (f.num, f.den)
-    return max(abs(n) for p in polys for n in p.ints + (p.den,))
+    return max(max(map(abs, p.ints + (p.den,))) for p in polys)
 
 
 class OutputTooLarge(ValueError):

@@ -235,10 +235,26 @@ class ConstraintReport:
                 f"lambda0 = {self.lambda0} > 0 is obstructed: E(U) has the "
                 f"nonzero coefficient {coeff} at exponent {self.obstruction_exponent}"
             )
-        if self.lambda0 < 0:
+        if self.lambda0 < 0 and self.obstruction_exponent == 0:
             return (
                 f"lambda0 = {self.lambda0} < 0 is obstructed: the w^0 "
                 f"coefficient of E(U) is R(y) != 0"
+            )
+        if self.lambda0 < 0:  # R = 0: E(U) = da0/dy w^lambda0 + O(w^lambda0)
+            if self.a0 is None:
+                return (
+                    f"lambda0 = {self.lambda0} < 0 with R = 0 is obstructed unless a0 "
+                    f"is constant: the w^({self.lambda0}) coefficient of E(U) is da0/dy"
+                )
+            if self.obstruction_coefficient is None:
+                return (
+                    f"lambda0 = {self.lambda0} < 0 with R = 0: no obstruction found; "
+                    f"E(U) vanishes at every exponent >= {self.lambda0}"
+                )
+            return (
+                f"lambda0 = {self.lambda0} < 0 is obstructed: R = 0 and E(U) has the "
+                f"nonzero coefficient {self.obstruction_coefficient.render('y')} "
+                f"at exponent {self.obstruction_exponent}"
             )
         if self.a0 is None:
             return "lambda0 = 0: a0 must satisfy da0/dy + (1/2)a0^2 + R = 0"
@@ -262,7 +278,9 @@ def leading_constraints(
     is nonzero, so no solution has a positive leading exponent.
     lambda0 = 0: the w^0 coefficient is da0/dy + (1/2)a0^2 + R; it vanishes
     iff a0/2 solves the Riccati equation du/dy + u^2 + (1/2)R = 0.
-    lambda0 < 0: the w^0 coefficient is bare R, nonzero unless R = 0.
+    lambda0 < 0: the w^0 coefficient is bare R.  When R = 0 the obstruction
+    is the leading coefficient of E(U) at the exponents >= lambda0, which
+    the lower terms of U cannot reach: da0/dy at lambda0, or none.
 
     a0 may be None ("symbolic"): the report then carries the general
     obstruction factor instead of a concrete value.
@@ -277,7 +295,14 @@ def leading_constraints(
             lambda0, a0, 2 * lambda0, coeff, factor, None, None, None
         )
     if lambda0 < 0:
-        return ConstraintReport(lambda0, a0, Q(0), R, None, None, None, None)
+        if not R.is_zero:
+            return ConstraintReport(lambda0, a0, Q(0), R, None, None, None, None)
+        if a0 is None:
+            return ConstraintReport(lambda0, None, None, None, None, None, None, None)
+        # U = a0 w^lambda0 + O(w^lambda0): E(U) is known at exponents >= lambda0
+        E = residual(PuiseuxSeries.monomial(a0, lambda0, lambda0), R)
+        exponent, coeff = E.terms[0] if E.terms else (None, None)
+        return ConstraintReport(lambda0, a0, exponent, coeff, None, None, None, None)
     if a0 is None:
         return ConstraintReport(lambda0, None, None, None, None, None, None, None)
     res = residual(PuiseuxSeries.monomial(a0, 0), R).coefficient(0)

@@ -210,19 +210,29 @@ def _solve_monic_polynomial(d: int, D: Poly, DA: Poly, DB: Poly):
     the operator gives the same one.
     """
     shift = D.degree - 2
+    den = math.lcm(D.den, DA.den, DB.den)
+    d_ints, da_ints, db_ints = ([n * (den // p.den) for n in p.ints] for p in (D, DA, DB))
+    width = max(len(d_ints) - 2, len(da_ints) - 1, len(db_ints))
 
-    def image(mono: Poly) -> Poly:
-        first = mono.derivative()
-        return D * first.derivative() + DA * first + DB * mono
+    def image(j: int) -> Poly:
+        """L(y^j) = j(j-1) D y^(j-2) + j DA y^(j-1) + DB y^j, added up from
+        the integers of D, DA and DB shifted by j - 2, j - 1 and j."""
+        out = [0] * (j + width)
+        shifted = ((j - 2, j * (j - 1), d_ints), (j - 1, j, da_ints), (j, 1, db_ints))
+        for start, factor, ints in shifted:
+            if factor:
+                for i, n in enumerate(ints, start):
+                    out[i] += factor * n
+        return int_poly(out, den)
 
     def descend(top: int):
         """(y^top + lower terms, its image, free index or None): each lower
         p_j clears row j + shift of the image."""
-        P = Poly.variable() ** top
-        r, free = image(P), None
+        P = int_poly([0] * top + [1], 1)
+        r, free = image(top), None
         for j in range(top - 1, -1, -1):
-            mono = Poly.variable() ** j
-            col = image(mono)
+            mono = int_poly([0] * j + [1], 1)
+            col = image(j)
             pivot = col.coeff(j + shift)
             if not pivot:
                 free = j

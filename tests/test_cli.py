@@ -500,6 +500,46 @@ class TestSeriesCheck:
         assert doc["series"]["obstruction_exponent"] == "2"
         assert "obstructed" in doc["conclusion"]
 
+    @pytest.mark.parametrize(
+        "a0, lambda0, exponent, conclusion",
+        [
+            ("y", "-1", "-1", "-1 < 0 is obstructed: R = 0 and E(U) has the nonzero "
+             "coefficient 1 at exponent -1"),
+            ("y", "-1/2", "-1/2", "-1/2 < 0 is obstructed: R = 0 and E(U) has the nonzero "
+             "coefficient 1 at exponent -1/2"),
+            ("3", "-1", None, "-1 < 0 with R = 0: no obstruction found; "
+             "E(U) vanishes at every exponent >= -1"),
+            ("3", "-1/2", None, "-1/2 < 0 with R = 0: no obstruction found; "
+             "E(U) vanishes at every exponent >= -1/2"),
+        ],
+    )
+    def test_negative_lambda_with_zero_R(self, a0, lambda0, exponent, conclusion):
+        # E(U) = a0' w^lambda0 + (lambda0 + 1/2) a0^2 w^(2 lambda0) + R for
+        # U = a0 w^lambda0; the lower terms of U reach only exponents below
+        # lambda0, so for R = 0 only a0' at lambda0 can obstruct
+        argv = ["series-check", "--a0", a0, f"--lambda0={lambda0}"]
+        code, doc = run_json(argv)
+        assert code == 0 and doc["normalized"] == "0"
+        assert doc["series"]["obstruction_exponent"] == exponent
+        assert doc["conclusion"] == f"lambda0 = {conclusion}"
+        code, text = run(argv)
+        assert code == 0 and f"conclusion:  lambda0 = {conclusion}\n" in text
+
+    def test_negative_lambda_with_symbolic_a0_and_zero_R(self):
+        _, doc = run_json(["series-check", "--lambda0=-1"])
+        assert doc["series"]["obstruction_exponent"] is None
+        assert doc["conclusion"] == (
+            "lambda0 = -1 < 0 with R = 0 is obstructed unless a0 is constant: "
+            "the w^(-1) coefficient of E(U) is da0/dy"
+        )
+
+    def test_negative_lambda_with_nonzero_R_keeps_its_wording(self):
+        _, doc = run_json(["series-check", "--expr", "1/y^3", "--a0", "y", "--lambda0=-1"])
+        assert doc["series"]["obstruction_exponent"] == "0"
+        assert doc["conclusion"] == (
+            "lambda0 = -1 < 0 is obstructed: the w^0 coefficient of E(U) is R(y) != 0"
+        )
+
     def test_largest_accepted_a0_runs_fast(self):
         # degree 1000 times 400 bits: the a0 work limit, on its worst shape
         start = time.perf_counter()
@@ -572,3 +612,81 @@ class TestComputedOnce:
         assert code == 0 and doc["oracle"]["consistency"] == riccati.CONSISTENT
         assert doc["kimura"]["outcome"] == real(TriangleParams.parse("1/3,inf,inf")).outcome
         assert len(calls) == 1
+
+
+# R of the triangle (1/3, 1/4, inf) pulled back by z = (2y - 3)/(y + 1):
+# rational coefficients of both signs, and a solution with three poles
+PULLED = (
+    "(-1175/8*y^2 - 75/2*y + 75/2)/"
+    "(y^6 + 3*y^5 - 35/4*y^4 - 45/2*y^3 + 85/4*y^2 + 33*y + 9)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text_digest, json_digest",
+    [
+        (
+            ["analyze", "--expr", "1/(2*y^2*(y - 1)^2)"],
+            "ade3a270cccd6c64ce31f46a8a6003518763877212b2caee543d63669f3a411c",
+            "0430c21e55359a6ec1515118b0ff57d4044c5c467b8af91e5db58801f82d3586",
+        ),
+        (
+            [
+                "analyze",
+                "--expr",
+                "(y^2 - 1968*y + 2654208)/(2*y^2*(y - 1728)^2)",
+                "--moebius",
+                "1,0,0,1728",
+            ],
+            "a03e087020dcd867ebd0ceb95a6747383073dcf4d335ed4daacd2183077f45fd",
+            "b604df4b281526c59844abac505ff043ba9d8c3550b245caa1cdb82ed925df1a",
+        ),
+        (
+            ["analyze", "--expr", PULLED, "--moebius=1,3,-1,2", "--oracle"],
+            "7d68fae9a86cc158933c6b135f0c7590d5791bb2b2c10c459dc3d82f1b2deb11",
+            "549e027fd21ce26142ff60b69f784183a9aba67fed004cf69e85e1634543ddb9",
+        ),
+        (
+            ["oracle", "--triangle", "1,inf,inf"],
+            "e623e2dfc21740ee2db557aebf55957c1ab20f1214b66ba9b5be69d1b33a34a5",
+            "d725eeda7ba7673472256f218f34d7a7e1c0e79a0c8152de058ca6c9b2428b06",
+        ),
+        (
+            ["oracle", "--expr", PULLED],
+            "1dcc32a96dce41585f935d3b8e025706c01c7c2462fbd998afe4c53bdc9ebc26",
+            "dcedaee0717d345fa04d6222f3fbc649f7ab1fe29afff688820ec420db66b35e",
+        ),
+        (
+            ["oracle", "--expr=-12/(y+1)^2"],
+            "737111bd04845b43ab8b7377afdb15be7af722f35cc485317d0e5ba6b335a80f",
+            "efceac14bc3c97378d16317b48af5f09982fb8e37c0f3da15621d17c90ae0e52",
+        ),
+        (
+            ["oracle", "--expr", "0"],
+            "0ad0c04e8da7585e24b90b51541feb286e2ca529d26376a100a6b82ec561ddbf",
+            "b0048641ebd2e3fc0c5c650cc7173a616f498b7e6407e6dd3663b7495d9ca3fb",
+        ),
+        (
+            ["series-check", "--triangle", "1,inf,inf"],
+            "bd9e1b31f5501c86d94ef1e3a62f054ec35c526c658d2905275e990414589d17",
+            "a68a9251850e4108728d9e90a645a049b1b60fcc1a1842352dfdb7889259c919",
+        ),
+        (
+            ["series-check", "--triangle", "2,3,7", "--a0", "y", "--lambda0", "0"],
+            "8367ecd0f32e61aa07f4c27fbf127326326c65fa8b565902dac83299d642bd87",
+            "09287cba20439241be7ca26e767bfb6c51aee2f4f219ada194cf01dbbc13bb38",
+        ),
+        (
+            ["series-check", "--expr", "(3/4 - y^2/5)/(y^2*(y - 1)^2)", "--a0", "2/(3*y) - 7*y/5"],
+            "2988d0444a73d7621921084f34e44c9ce7ca636ded501b734968eeab391f418f",
+            "dffd50613623c9c16a5422f8a332ac62bbaade7ceb25e64ce98f34e363dd5010",
+        ),
+    ],
+)
+def test_rendering_bytes_unchanged(argv, text_digest, json_digest):
+    """sha256 of stdout, text and --json, for invocations that render R,
+    solutions, families and series-check results."""
+    for extra, digest in (([], text_digest), (["--json"], json_digest)):
+        code, text = run(argv + extra)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -18,6 +18,7 @@ from triform.polynomials import (
     linear_factorization,
     partial_fractions,
     rational_roots,
+    render_poly,
 )
 from triform.scalars import Q
 
@@ -503,3 +504,43 @@ def test_hypothesis_commutativity_and_inverse(a, b):
 @given(ratfuncs(), ratfuncs())
 def test_hypothesis_leibniz(a, b):
     assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+def reference_render_poly(p: Poly, var: str) -> str:
+    """render_poly as it was, one Fraction per coefficient."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = -c if c < 0 else c
+        if k == 0:
+            body = str(mag)
+        else:
+            head = "" if mag == 1 else f"{mag}*"
+            body = f"{head}{var}" + (f"^{k}" if k > 1 else "")
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def test_render_poly_matches_fraction_reference():
+    """Coefficients 0, +-1, small and 40-digit values, over denominators 1,
+    small and of up to 30 digits, so that zero gaps, a unit magnitude m/d
+    with d > 1, and common factors of a numerator and den all occur."""
+    rng = random.Random(8128)
+    for _ in range(3000):
+        den = rng.choice((1, 1, 2, 6, rng.randint(1, 10**30)))
+        nums = [
+            rng.choice((0, 0, 1, -1, den, -den, rng.randint(-99, 99), rng.randint(-10**40, 10**40)))
+            for _ in range(rng.randint(0, 7))
+        ]
+        p = Poly([Q(n, den) for n in nums])
+        for var in ("y", "t"):
+            assert render_poly(p, var) == reference_render_poly(p, var)
