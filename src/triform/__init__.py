@@ -8,26 +8,15 @@ into the absence of order-two differential subvarieties.
 """
 
 from .scalars import INF, ExtRational, Q, ZeroParameter
-from .polynomials import (
-    NotSplitOverRationals,
-    PartialFractions,
-    Poly,
-    PoleEvaluation,
-    RatFunc,
-    partial_fractions,
-)
+from .polynomials import NotSplitOverRationals, Poly, RatFunc
 from .schwarzian import (
-    ConstantInput,
     Moebius,
     NotTriangular,
-    SchwarzianEquation,
     SingularMoebius,
     TriangleParams,
     build_triangular_R,
-    check_solution,
     moebius_pullback,
     recognize_triangular,
-    schwarzian_of,
 )
 from .kimura import (
     KimuraVerdict,

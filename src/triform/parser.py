@@ -8,6 +8,9 @@ Grammar (no implicit multiplication, no negative literal exponents):
     power   := atom ('^' INT)?
     atom    := INT | NAME | '(' expr ')'
 
+INT is a run of decimal digits (str.isdecimal); NAME is a letter or '_'
+followed by letters, decimal digits or '_'.
+
 Diagnostics carry the byte offset and the expected-token set.  The printer
 emits a canonical form whose reparse is structurally identical to the
 original AST, and printing a freshly parsed canonical form is a fixed
@@ -94,16 +97,18 @@ def _tokenize(text: str) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal is what int() accepts; isdigit and isalnum also hold for
+        # superscripts such as '²', which must not read as part of a name
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
             tokens.append(_Token("NAME", text[i:j], i))
             i = j

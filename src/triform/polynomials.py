@@ -6,8 +6,7 @@ and den a positive int.  The form is canonical: gcd(den, *ints) = 1 and the
 leading numerator is nonzero, so equality and hashing are structural.  The
 zero polynomial is ints = (), den = 1, and deg(0) is the -infinity sentinel
 so that deg(p*q) = deg(p) + deg(q) holds without special cases.  Every
-kernel runs on the integers; ``coeffs`` gives the coefficients as Q values,
-built on first use.
+kernel runs on the integers.
 
 A RatFunc is a reduced fraction num/den of Polys with den monic and
 gcd(num, den) = 1, so equality is structural.  All operations are exact and
@@ -17,16 +16,11 @@ all values are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from .scalars import MAX_OUTPUT_BITS, Q
 
 NEG_INF = float("-inf")
-
-
-class PoleEvaluation(ArithmeticError):
-    """Evaluation of a rational function at one of its poles."""
 
 
 class NotSplitOverRationals(ValueError):
@@ -52,26 +46,16 @@ def int_poly(ints: List[int], den: int) -> "Poly":
     p = object.__new__(Poly)
     p.ints = tuple(ints)
     p.den = den
-    p._coeffs = None
     return p
 
 
 class Poly:
-    __slots__ = ("ints", "den", "_coeffs")
+    __slots__ = ("ints", "den")
 
     def __new__(cls, coeffs: Iterable = ()):
         cs = [c if type(c) is int or type(c) is Q else Q(c) for c in coeffs]
         den = math.lcm(*[c.denominator for c in cs])
         return int_poly([c.numerator * (den // c.denominator) for c in cs], den)
-
-    @property
-    def coeffs(self) -> Tuple:
-        """The coefficients as Q values, ascending degree."""
-        cs = self._coeffs
-        if cs is None:
-            den = self.den
-            cs = self._coeffs = tuple(Q(n, den) for n in self.ints)
-        return cs
 
     # -- constructors ------------------------------------------------------
 
@@ -259,13 +243,6 @@ class Poly:
         """Value at a rational x."""
         return Q(*self.at(x.numerator, x.denominator))
 
-    def compose(self, inner: "RatFunc") -> "RatFunc":
-        """self(inner) as a rational function (Horner over RatFunc)."""
-        acc = RatFunc.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RatFunc.const(c)
-        return acc
-
     # -- display -------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -337,27 +314,15 @@ class RatFunc:
         return _RF_ZERO
 
     @staticmethod
-    def one() -> "RatFunc":
-        return _RF_ONE
-
-    @staticmethod
     def const(c) -> "RatFunc":
         p = Poly.const(c)
         return _RF_ZERO if p.is_zero else RatFunc._raw(p, _ONE)
-
-    @staticmethod
-    def variable() -> "RatFunc":
-        return _RF_X
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
 
     @property
     def degree_at_infinity(self):
@@ -448,7 +413,7 @@ class RatFunc:
         # gcd(num, den) = 1 gives gcd(num^n, den^n) = 1
         return RatFunc._raw(self.num**n, self.den**n)
 
-    # -- calculus and evaluation ----------------------------------------------
+    # -- calculus -------------------------------------------------------------
 
     def derivative(self) -> "RatFunc":
         n, d = self.num, self.den
@@ -464,17 +429,6 @@ class RatFunc:
         else:
             s, t = d, dp
         return RatFunc._raw(n.derivative() * s - n * t, d * s)
-
-    def evaluate(self, x):
-        x = Q(x)
-        d = self.den(x)
-        if d == 0:
-            raise PoleEvaluation(f"evaluation at pole {x}")
-        return self.num(x) / d
-
-    def compose(self, inner: "RatFunc") -> "RatFunc":
-        """self(inner(y)).  inner must not be identically a pole of self."""
-        return self.num.compose(inner) / self.den.compose(inner)
 
     # -- display ---------------------------------------------------------------
 
@@ -496,7 +450,6 @@ class RatFunc:
 
 _RF_ZERO = RatFunc(_ZERO)
 _RF_ONE = RatFunc(_ONE)
-_RF_X = RatFunc(_X)
 
 
 def height(f) -> int:
@@ -611,56 +564,3 @@ def linear_factorization(p: Poly) -> List[Tuple]:
             f"(with multiplicity): {p}"
         )
     return roots
-
-
-# -- partial fractions -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartialFractions:
-    """p(y) + sum of coeff/(y - pole)^order with rational poles only."""
-
-    poly_part: Poly
-    terms: Tuple[Tuple, ...]  # (pole, order, coeff), poles ascending, orders descending
-
-    def recombine(self) -> RatFunc:
-        total = RatFunc(self.poly_part)
-        for pole, order, coeff in self.terms:
-            total = total + RatFunc(Poly.const(coeff), Poly.linear(pole) ** order)
-        return total
-
-    def __str__(self) -> str:
-        chunks = []
-        if not self.poly_part.is_zero:
-            chunks.append(str(self.poly_part))
-        for pole, order, coeff in self.terms:
-            base = f"(y - {pole})" if pole != 0 else "y"
-            powtxt = f"{base}^{order}" if order > 1 else base
-            chunks.append(f"({coeff})/{powtxt}")
-        return " + ".join(chunks) if chunks else "0"
-
-
-def partial_fractions(r: RatFunc) -> PartialFractions:
-    """Exact partial-fraction decomposition over rational poles.
-
-    Raises NotSplitOverRationals when the denominator does not split into
-    linear factors over Q.
-    """
-    quot, rem = divmod(r.num, r.den)
-    if rem.is_zero:
-        return PartialFractions(quot, ())
-    factors = linear_factorization(r.den)
-    terms: List[Tuple] = []
-    for pole, mult in factors:
-        other = r.den // (Poly.linear(pole) ** mult)
-        h = RatFunc(rem, other)
-        fact = 1
-        for i in range(mult):
-            if i > 0:
-                h = h.derivative()
-                fact *= i
-            coeff = h.evaluate(pole) / fact
-            if coeff != 0:
-                terms.append((pole, mult - i, coeff))
-    terms.sort(key=lambda t: (t[0], -t[1]))
-    return PartialFractions(quot, tuple(terms))

@@ -26,7 +26,6 @@ solution of the associated Riccati equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -63,10 +62,6 @@ class PuiseuxSeries:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(cutoff=EXACT) -> "PuiseuxSeries":
-        return PuiseuxSeries((), cutoff)
-
-    @staticmethod
     def monomial(coeff: RatFunc, exp, cutoff=EXACT) -> "PuiseuxSeries":
         return PuiseuxSeries(((Q(exp), coeff),), cutoff)
 
@@ -80,17 +75,6 @@ class PuiseuxSeries:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def leading_exponent(self):
-        if not self.terms:
-            raise ValueError("zero series has no leading term")
-        return self.terms[0][0]
-
-    @property
-    def exponent_denominator(self) -> int:
-        """Common denominator of all exponents (1 for the zero series)."""
-        return math.lcm(*(exp.denominator for exp, _ in self.terms))
 
     def coefficient(self, exp) -> RatFunc:
         """Coefficient at the given exponent; raises below the cutoff."""

@@ -92,20 +92,8 @@ class RiccatiEq:
     def residual(self, u: RatFunc) -> RatFunc:
         return u.derivative() + u * u + self.half_R
 
-    def is_solution(self, u: RatFunc) -> bool:
-        return self.residual(u).is_zero
-
     def render(self) -> str:
         return f"du/dy + u^2 + ({self.half_R.render('y')}) = 0"
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def half_riccati_residual(a: RatFunc, R: RatFunc) -> RatFunc:
-    """Residual of da/dy + (1/2)a^2 + R = 0; a solves this iff a/2 solves
-    the Riccati equation with coefficient (1/2)R."""
-    return a.derivative() + (a * a).scale(_HALF) + R
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
-"""The Schwarzian derivative, the triangular coefficient family, and
-Moebius changes of variable.
+"""The triangular coefficient family and Moebius changes of variable.
 
 The third-order equation under study is
 
     S(y) + (y')^2 * R(y) = 0,      S(y) = (y''/y')' - (1/2)(y''/y')^2,
 
-and is fully determined by the rational coefficient function R.  The
-triangular family R_{alpha,beta,gamma} has double poles at 0 and 1 and is
-parametrized by the inverse triangle angles; the recognizer inverts the
-construction up to the intrinsic sign ambiguity of the parameters.
+with S the Schwarzian derivative.  It is fully determined by the rational
+coefficient function R, and this module works on R alone.  The triangular
+family R_{alpha,beta,gamma} has double poles at 0 and 1 and is parametrized
+by the inverse triangle angles; the recognizer inverts the construction up
+to the intrinsic sign ambiguity of the parameters.  A Moebius change of
+variable z = m(y) acts on R by pullback.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from typing import Optional, Tuple, Union
 
 from .polynomials import Poly, RatFunc, int_poly
 from .scalars import INF, ExtRational, Q, ZeroParameter, parse_q, rational_sqrt
-
-
-class ConstantInput(ValueError):
-    """The Schwarzian derivative needs a non-constant argument."""
 
 
 class NotTriangular(ValueError):
@@ -80,42 +77,11 @@ class TriangleParams:
         return inv
 
     @property
-    def is_integer_triple(self) -> bool:
-        for slot in (self.alpha, self.beta, self.gamma):
-            if slot.is_infinite:
-                continue
-            if slot.value.denominator != 1 or slot.value < 2:
-                return False
-        return True
-
-    @property
     def is_hyperbolic(self) -> bool:
         return sum(self.inverses()) < 1
 
     def __str__(self) -> str:
         return f"({self.alpha},{self.beta},{self.gamma})"
-
-
-def schwarzian_of(g: RatFunc) -> RatFunc:
-    """S(g) = (g''/g')' - (1/2)(g''/g')^2.  Exact; zero iff g is Moebius."""
-    gp = g.derivative()
-    if gp.is_zero:
-        raise ConstantInput("Schwarzian derivative of a constant")
-    h = gp.derivative() / gp
-    return h.derivative() - (h * h).scale(Q(1, 2))
-
-
-@dataclass(frozen=True)
-class SchwarzianEquation:
-    """The equation S(y) + (y')^2 * R(y) = 0, determined by R."""
-
-    R: RatFunc
-
-    def render(self) -> str:
-        return f"S(y) + (y')^2 * ({self.R.render('y')}) = 0"
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 _TRI_DEN = Poly((0, 0, 1, -2, 1))  # y^2 (y - 1)^2
@@ -251,36 +217,8 @@ class Moebius:
     def inverse(self) -> "Moebius":
         return Moebius(self.d, -self.b, -self.c, self.a)
 
-    def compose(self, other: "Moebius") -> "Moebius":
-        """self after other (matrix product self * other)."""
-        return Moebius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def as_ratfunc(self) -> RatFunc:
-        return RatFunc(Poly((self.b, self.a)), Poly((self.d, self.c)))
-
-    def apply(self, g: RatFunc) -> RatFunc:
-        """(a*g + b)/(c*g + d)."""
-        num = g.scale(self.a) + RatFunc.const(self.b)
-        den = g.scale(self.c) + RatFunc.const(self.d)
-        return num / den
-
     def __str__(self) -> str:
         return f"({self.a}*y + {self.b})/({self.c}*y + {self.d})"
-
-
-def is_moebius(g: RatFunc) -> bool:
-    """Non-constant and of the form (ay+b)/(cy+d); such g have S(g) = 0."""
-    return (
-        not g.is_zero
-        and g.num.degree <= 1
-        and g.den.degree <= 1
-        and not g.is_constant
-    )
 
 
 def moebius_pullback(R: RatFunc, m: Moebius) -> RatFunc:
@@ -324,11 +262,3 @@ def _homogenize(P: Poly, M: Poly, L_pow) -> Poly:
         acc = acc * M + L_pow[n - k].scale(ints[k])
     return acc
 
-
-def check_solution(g: RatFunc, R: RatFunc) -> bool:
-    """Does g(t) satisfy S(g) + (g')^2 * R(g) = 0 identically?"""
-    gp = g.derivative()
-    if gp.is_zero:
-        raise ConstantInput("candidate solution is constant")
-    residual = schwarzian_of(g) + gp * gp * R.compose(g)
-    return residual.is_zero

@@ -30,7 +30,7 @@ def random_ratfunc(rng: random.Random, max_deg: int = 3, zero_ok: bool = True) -
 def random_nonconstant_ratfunc(rng: random.Random, max_deg: int = 3) -> RatFunc:
     while True:
         g = random_ratfunc(rng, max_deg)
-        if not g.is_zero and not g.is_constant:
+        if not g.derivative().is_zero:
             return g
 
 

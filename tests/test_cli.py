@@ -147,6 +147,27 @@ class TestInputChecks:
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: bad --")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("expr, offset", [("y²", 1), ("1/(y²+1)", 4), ("²", 0)])
+    def test_superscript_digit_exits_2(self, expr, offset, json_flag, capsys):
+        # '²' passes str.isdigit and str.isalnum but int() refuses it: it
+        # must end a name, not be read as part of one, and never reach int()
+        code, text = run(["analyze", "--expr", expr, *json_flag])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: bad --expr value: at offset {offset}: "
+            "expected a digit or a name or an operator, found '²'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "expr, normalized", [("y1+1", "y + 1"), ("١/(y+١)^2", "1/(y^2 + 2*y + 1)")]
+    )
+    def test_decimal_digits_in_names_and_numbers_parse(self, expr, normalized):
+        code, text = run(["analyze", "--expr", expr])
+        assert code == 0 and f"R(y)       = {normalized}\n" in text
+        code, doc = run_json(["analyze", "--expr", expr])
+        assert code == 0 and doc["normalized"] == normalized
+
     def test_series_check_of_zero_skips_the_zero_solution(self):
         # R = 0: the oracle's first solution is u = 0, which gives no a0
         code, doc = run_json(["series-check", "--lambda0", "0"])

@@ -76,7 +76,7 @@ def _triangle_exprs():
 exprs = st.one_of(
     _grammar_exprs(),
     _triangle_exprs(),
-    st.text(alphabet="y0123456789+-*/^() x", max_size=24),
+    st.text(alphabet="y0123456789+-*/^() x²¹", max_size=24),
     st.sampled_from(["(y+1)^3000", "((y+1)^60)^60", "2^20000", "y^99999999999", "1/0", "1/(y-y)"]),
 )
 sources = st.one_of(

@@ -158,7 +158,8 @@ class TestSweep:
     def test_enumeration_shape(self):
         triples = list(hyperbolic_integer_triples(7))
         assert all(p.is_hyperbolic for p in triples)
-        assert all(p.is_integer_triple for p in triples)
+        slots = [s for p in triples for s in (p.alpha, p.beta, p.gamma)]
+        assert all(s.is_infinite or (s.value.denominator == 1 and s.value >= 2) for s in slots)
         texts = {str(p) for p in triples}
         assert "(2,3,7)" in texts
         assert "(2,3,6)" not in texts  # parabolic

@@ -167,7 +167,7 @@ def reference_to_ratfunc(node):
             _reference_check(n, "integer bits", n.value.bit_length(), MAX_BITS)
             return RatFunc.const(Q(n.value))
         if isinstance(n, Var):
-            return RatFunc.variable()
+            return RatFunc(Poly.variable())
         if isinstance(n, Neg):
             return -lower(n.operand)
         if isinstance(n, Pow):

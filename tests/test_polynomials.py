@@ -1,5 +1,4 @@
-"""Exact-arithmetic substrate: polynomials, rational functions, partial
-fractions."""
+"""Exact-arithmetic substrate: polynomials and rational functions."""
 
 import math
 import random
@@ -12,20 +11,19 @@ from hypothesis import strategies as st
 from triform.polynomials import (
     NEG_INF,
     NotSplitOverRationals,
-    PoleEvaluation,
     Poly,
     RatFunc,
     linear_factorization,
-    partial_fractions,
     rational_roots,
     render_poly,
 )
 from triform.scalars import Q
 
 from conftest import random_poly, random_ratfunc
+from reference import coeffs, value
 
-Y = RatFunc.variable()
-ONE = RatFunc.one()
+Y = RatFunc(Poly.variable())
+ONE = RatFunc.const(1)
 
 
 def rf(num, den=(1,)):
@@ -311,7 +309,6 @@ class TestIntegerKernels:
         assert p.den > 0
         assert p.ints == () and p.den == 1 or p.ints[-1] != 0
         assert math.gcd(p.den, *p.ints) == 1
-        assert p.coeffs == tuple(Q(n, p.den) for n in p.ints)
 
     def pairs(self, rng, count):
         for i in range(count):
@@ -320,7 +317,7 @@ class TestIntegerKernels:
 
     def test_ring_operations(self, rng):
         for p, q in self.pairs(rng, 600):
-            a, b = p.coeffs, q.coeffs
+            a, b = coeffs(p), coeffs(q)
             for got, ref in (
                 (p + q, self.ref_add(a, b)),
                 (p - q, self.ref_add(a, tuple(-c for c in b))),
@@ -328,11 +325,11 @@ class TestIntegerKernels:
                 (p * q, self.ref_mul(a, b)),
             ):
                 self.assert_canonical(got)
-                assert got.coeffs == ref
+                assert coeffs(got) == ref
 
     def test_scale_derivative_monic(self, rng):
         for p, _ in self.pairs(rng, 400):
-            a = p.coeffs
+            a = coeffs(p)
             c = Q(rng.randint(-9, 9), rng.choice(self.DENS))
             for got, ref in (
                 (p.scale(c), _strip(x * c for x in a)),
@@ -342,7 +339,7 @@ class TestIntegerKernels:
             ):
                 self.assert_canonical(got)
                 if ref is not None:
-                    assert got.coeffs == ref
+                    assert coeffs(got) == ref
 
     def test_divmod(self, rng):
         constant_divisors = 0
@@ -355,7 +352,7 @@ class TestIntegerKernels:
             quot, rem = divmod(p, q)
             self.assert_canonical(quot)
             self.assert_canonical(rem)
-            assert (quot.coeffs, rem.coeffs) == self.ref_divmod(p.coeffs, q.coeffs)
+            assert (coeffs(quot), coeffs(rem)) == self.ref_divmod(coeffs(p), coeffs(q))
         assert constant_divisors > 20
 
     def test_gcd(self, rng):
@@ -364,7 +361,7 @@ class TestIntegerKernels:
             p, q = p * common, q * common
             g = p.gcd(q)
             self.assert_canonical(g)
-            assert g.coeffs == self.ref_gcd(p.coeffs, q.coeffs)
+            assert coeffs(g) == self.ref_gcd(coeffs(p), coeffs(q))
 
     def test_evaluation_at_rationals(self, rng):
         for p, _ in self.pairs(rng, 400):
@@ -375,7 +372,7 @@ class TestIntegerKernels:
             ):
                 got = p(x)
                 assert type(got) is Q
-                assert got == self.ref_eval(p.coeffs, x)
+                assert got == self.ref_eval(coeffs(p), x)
 
     def test_canonical_form_is_route_independent(self, rng):
         for p, q in self.pairs(rng, 300):
@@ -383,7 +380,7 @@ class TestIntegerKernels:
                 continue
             c = Q(rng.randint(1, 9), rng.choice(self.DENS))
             routes = [
-                Poly(p.coeffs),
+                Poly(coeffs(p)),
                 Poly(list(p.ints)).scale(Q(1, p.den)),
                 (p * q) // q,
                 (p + q) - q,
@@ -404,11 +401,11 @@ class TestIntegerKernels:
 
 class TestEvaluate:
     def test_examples(self):
-        assert (Y * Y).evaluate(3) == 9
-        with pytest.raises(PoleEvaluation):
-            (ONE / Y).evaluate(0)
+        assert value(Y * Y, 3) == 9
+        with pytest.raises(ZeroDivisionError):
+            value(ONE / Y, 0)
         r = ONE / Y + ONE / (Y - ONE)
-        assert r.evaluate(2) == Q(3, 2)
+        assert value(r, 2) == Q(3, 2)
 
     def test_ring_homomorphism(self, rng):
         for _ in range(100):
@@ -416,50 +413,15 @@ class TestEvaluate:
             b = random_ratfunc(rng)
             q = Q(rng.randint(-8, 8), rng.randint(1, 5))
             try:
-                av, bv = a.evaluate(q), b.evaluate(q)
-            except PoleEvaluation:
+                av, bv = value(a, q), value(b, q)
+            except ZeroDivisionError:
                 continue
             try:
-                assert (a + b).evaluate(q) == av + bv
-                assert (a * b).evaluate(q) == av * bv
-            except PoleEvaluation:
+                assert value(a + b, q) == av + bv
+                assert value(a * b, q) == av * bv
+            except ZeroDivisionError:
                 # cancellation can move a pole; skip those points
                 continue
-
-
-class TestPartialFractions:
-    def test_textbook_identity(self):
-        pf = partial_fractions(ONE / (Y * (Y - ONE)))
-        assert pf.poly_part.is_zero
-        assert pf.terms == ((Q(0), 1, Q(-1)), (Q(1), 1, Q(1)))
-
-    def test_double_pole_example(self):
-        r = rf((Q(1, 2),), (0, 0, 1, -2, 1))  # 1/(2 y^2 (y-1)^2)
-        pf = partial_fractions(r)
-        assert pf.terms == (
-            (Q(0), 2, Q(1, 2)),
-            (Q(0), 1, Q(1)),
-            (Q(1), 2, Q(1, 2)),
-            (Q(1), 1, Q(-1)),
-        )
-        assert pf.recombine() == r
-
-    def test_irreducible_denominator_fails(self):
-        with pytest.raises(NotSplitOverRationals):
-            partial_fractions(rf((1,), (1, 0, 1)))  # 1/(y^2+1)
-
-    def test_recombine_identity_random(self, rng):
-        # random ratfuncs with denominators forced to split
-        for _ in range(100):
-            roots = [Q(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
-            den = Poly.one()
-            for c in roots:
-                den = den * Poly.linear(c) ** rng.randint(1, 2)
-            num = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, 5))])
-            if num.is_zero:
-                continue
-            r = RatFunc(num, den)
-            assert partial_fractions(r).recombine() == r
 
 
 def _thousand_triples():
@@ -511,8 +473,9 @@ def reference_render_poly(p: Poly, var: str) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    cs = coeffs(p)
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"

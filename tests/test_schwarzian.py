@@ -1,4 +1,5 @@
-"""Schwarzian derivative, triangular family, Moebius pullbacks."""
+"""Triangular family, Moebius pullbacks, and the Schwarzian identities they
+rest on, checked with the references in reference.py."""
 
 import math
 import random
@@ -8,7 +9,6 @@ import pytest
 from triform.polynomials import Poly, RatFunc
 from triform.scalars import INF, ExtRational, Q, rational_sqrt
 from triform.schwarzian import (
-    ConstantInput,
     Moebius,
     NotTriangular,
     SYMBOLIC_INVERSE_SQUARE,
@@ -17,16 +17,23 @@ from triform.schwarzian import (
     TriangularRecognition,
     _build_from_inverse_squares,
     build_triangular_R,
-    check_solution,
-    is_moebius,
     moebius_pullback,
     recognize_triangular,
-    schwarzian_of,
 )
 
 from conftest import random_nonconstant_ratfunc, random_poly
+from reference import (
+    check_solution,
+    compose,
+    is_moebius,
+    matrix_product,
+    moebius_apply,
+    moebius_function,
+    schwarzian_of,
+    value,
+)
 
-T = RatFunc.variable()
+T = RatFunc(Poly.variable())
 
 
 def rf(num, den=(1,)):
@@ -45,20 +52,20 @@ class TestSchwarzianDerivative:
         assert schwarzian_of(T * T) == rf((Q(-3, 2),), (0, 0, 1))
 
     def test_constant_rejected(self):
-        with pytest.raises(ConstantInput):
+        with pytest.raises(ValueError):
             schwarzian_of(RatFunc.const(3))
 
     def test_moebius_kernel(self, rng):
         for _ in range(50):
             m = random_moebius(rng)
-            assert schwarzian_of(m.as_ratfunc()).is_zero
+            assert schwarzian_of(moebius_function(m)).is_zero
 
     def test_moebius_invariance(self, rng):
         # S(m o g) = S(g) for 100 random (m, g) pairs
         for _ in range(100):
             m = random_moebius(rng)
             g = random_nonconstant_ratfunc(rng, 2)
-            assert schwarzian_of(m.apply(g)) == schwarzian_of(g)
+            assert schwarzian_of(moebius_apply(m, g)) == schwarzian_of(g)
 
 
 class TestTriangleParams:
@@ -145,7 +152,7 @@ class TestMoebius:
     def test_inverse_composes_to_identity(self, rng):
         for _ in range(50):
             m = random_moebius(rng)
-            ident = m.compose(m.inverse()).as_ratfunc()
+            ident = moebius_function(Moebius(*matrix_product(m, m.inverse())))
             assert ident == T
 
     def test_is_moebius(self):
@@ -166,7 +173,7 @@ class TestMoebius:
             m1 = random_moebius(rng)
             m2 = random_moebius(rng)
             step = moebius_pullback(moebius_pullback(R, m1), m2)
-            assert step == moebius_pullback(R, m2.compose(m1))
+            assert step == moebius_pullback(R, Moebius(*matrix_product(m2, m1)))
 
     def test_pullback_inverse_round_trip(self, rng):
         for _ in range(30):
@@ -184,10 +191,10 @@ class TestMoebius:
             m = random_moebius(rng)
             if i % 4 == 0:
                 m = Moebius(m.a or 1, m.b, 0, m.d or 1)  # affine: c = 0
-            inv = m.inverse().as_ratfunc()
+            inv = moebius_function(m.inverse())
             dinv = inv.derivative()
             got = moebius_pullback(R, m)
-            assert got == R.compose(inv) * dinv * dinv
+            assert got == compose(R, inv) * dinv * dinv
             assert got.den.leading == 1
             if R.is_zero:
                 shapes.add("zero")
@@ -212,7 +219,7 @@ class TestCheckSolution:
             assert check_solution(g, RatFunc.zero()) == is_moebius(g)
 
     def test_constant_candidate_rejected(self):
-        with pytest.raises(ConstantInput):
+        with pytest.raises(ValueError):
             check_solution(RatFunc.const(1), RatFunc.zero())
 
     def test_pullback_transports_solutions(self, rng):
@@ -222,7 +229,7 @@ class TestCheckSolution:
         assert check_solution(g0, R0)
         for _ in range(30):
             m = random_moebius(rng)
-            assert check_solution(m.apply(g0), moebius_pullback(R0, m))
+            assert check_solution(moebius_apply(m, g0), moebius_pullback(R0, m))
 
 
 def test_schwarzian_composition_rule(rng):
@@ -230,12 +237,12 @@ def test_schwarzian_composition_rule(rng):
     for _ in range(40):
         f = random_nonconstant_ratfunc(rng, 2)
         g = random_nonconstant_ratfunc(rng, 2)
-        comp = f.compose(g)
-        if comp.is_constant or comp.derivative().is_zero:
+        comp = compose(f, g)
+        if comp.derivative().is_zero:
             continue
         lhs = schwarzian_of(comp)
         gp = g.derivative()
-        rhs = schwarzian_of(f).compose(g) * gp * gp + schwarzian_of(g)
+        rhs = compose(schwarzian_of(f), g) * gp * gp + schwarzian_of(g)
         assert lhs == rhs
 
 
@@ -307,8 +314,8 @@ def reference_recognize(R: RatFunc) -> TriangularRecognition:
         raise NotTriangular(f"poles of {R} are not contained in {{0, 1}} with order <= 2")
     if not R.is_zero and R.degree_at_infinity > -2:
         raise NotTriangular(f"{R} does not vanish to order >= 2 at infinity")
-    lim0 = (R * RatFunc(y * y)).evaluate(Q(0))
-    lim1 = (R * RatFunc(ym1 * ym1)).evaluate(Q(1))
+    lim0 = value(R * RatFunc(y * y), 0)
+    lim1 = value(R * RatFunc(ym1 * ym1), 1)
     if R.is_zero or R.degree_at_infinity < -2:
         lim_inf = Q(0)
     else:
