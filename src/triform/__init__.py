@@ -23,7 +23,6 @@ from .kimura import (
     condition_one,
     condition_two,
     decide_condition_ric,
-    hyperbolic_integer_sweep,
     verify_witness,
 )
 from .riccati import (

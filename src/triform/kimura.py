@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .scalars import INF, ExtRational, Q
 from .schwarzian import TriangleParams
@@ -251,10 +251,6 @@ def decide_condition_ric(p: TriangleParams) -> KimuraVerdict:
     return KimuraVerdict(ALGEBRAIC_SOLUTION_INDICATED, w)
 
 
-class BoundTooSmall(ValueError):
-    """A sweep bound below 2."""
-
-
 def hyperbolic_integer_triples(bound: int) -> Iterator[TriangleParams]:
     """All alpha <= beta <= gamma from {2..bound} u {inf} with
     1/alpha + 1/beta + 1/gamma < 1; infinity sorts last.
@@ -279,14 +275,3 @@ def hyperbolic_integer_triples(bound: int) -> Iterator[TriangleParams]:
             yield make(ea, eb, INF, (ia, ib, zero))
         yield make(ea, INF, INF, (ia, zero, zero))
     yield make(INF, INF, INF, (zero, zero, zero))
-
-
-def hyperbolic_integer_sweep(
-    bound: int, decide: Optional[Callable[[TriangleParams], KimuraVerdict]] = None
-) -> List[Tuple[TriangleParams, KimuraVerdict]]:
-    """Decide every hyperbolic integer triple up to the bound, in enumeration
-    order, with `decide` (default decide_condition_ric)."""
-    if bound < 2:
-        raise BoundTooSmall("bound must be at least 2")
-    decide = decide or decide_condition_ric
-    return [(p, decide(p)) for p in hyperbolic_integer_triples(bound)]

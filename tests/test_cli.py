@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -158,6 +159,19 @@ class TestInputChecks:
             f"error: bad --expr value: at offset {offset}: "
             "expected a digit or a name or an operator, found '²'\n"
         )
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["sweep", "--bound", "3"], "missing/x.json"),  # FileNotFoundError
+            (["analyze", "--triangle", "2,3,7"], "."),  # IsADirectoryError
+        ],
+    )
+    def test_unwritable_out_exits_2(self, argv, target, json_flag, tmp_path, capsys):
+        code, text = run(argv + ["--out", str(tmp_path / target), *json_flag])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: bad --out value: [Errno ")
 
     @pytest.mark.parametrize(
         "expr, normalized", [("y1+1", "y + 1"), ("١/(y+١)^2", "1/(y^2 + 2*y + 1)")]
@@ -340,24 +354,69 @@ class TestSweep:
         assert rows["(2,3,inf)"] == "ConditionRicHolds"
         assert all(v == "ConditionRicHolds" for v in rows.values())
 
-    def test_bad_bound_exits_2(self):
-        code, _ = run(["sweep", "--bound", "1"])
-        assert code == 2
+    def test_bad_bound_exits_2(self, capsys):
+        code, text = run(["sweep", "--bound", "1"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: bad --bound value: bound must be at least 2\n"
 
-    # sha256 of `sweep --bound B --json [--full]` before --cross-check existed
+    def test_bound_limit_is_checked_before_enumerating(self, monkeypatch, capsys):
+        def enumerate_never(bound):
+            raise AssertionError("the enumerator ran")
+
+        monkeypatch.setattr(kimura, "hyperbolic_integer_triples", enumerate_never)
+        over = cli.MAX_SWEEP_BOUND + 1
+        start = time.perf_counter()
+        code, text = run(["sweep", "--bound", str(over), "--cross-check"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: bad --bound value: {over} is above the limit {cli.MAX_SWEEP_BOUND}\n"
+        )
+
+    def test_bound_at_the_limit_is_accepted(self, monkeypatch):
+        seen = []
+
+        def enumerate_nothing(bound):
+            seen.append(bound)
+            return []
+
+        monkeypatch.setattr(kimura, "hyperbolic_integer_triples", enumerate_nothing)
+        code, _ = run(["sweep", "--bound", str(cli.MAX_SWEEP_BOUND)])
+        assert code == 0 and seen == [cli.MAX_SWEEP_BOUND]
+
+    def test_plain_sweep_memory_stays_flat(self):
+        # only the totals are kept, not a (triple, verdict) pair per triple:
+        # bound 40 enumerates 11,434 triples
+        tracemalloc.start()
+        try:
+            code, _ = run(["sweep", "--bound", "40", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+    # sha256 of `sweep --bound B --json [--full] [--cross-check]`; a plain
+    # row keeps the id bound-full-digest it had before the cross-check rows
+    SWEEP_DIGESTS = [
+        (2, False, False, "ccfb2fd081b0f2d70c613c61e96a78aa1cf3621c548c83a735d3898c3670cd2d"),
+        (2, True, False, "9c2f8533da2334514ca912698e2b049c79c9cdea9c3393412322247d743ab579"),
+        (9, False, False, "ec1c5f4480351a7e38c9606b35fb8368b83dfd73a3da0ede407c3e59df6032f3"),
+        (9, True, False, "01978db1e4daaefeac646287e7fbb53b0b4a248983278166fbb91446e80c606d"),
+        (30, False, False, "464a5eea9e3bf305678460a9184659296514daf04c8db4fdd2e249d335cad360"),
+        (30, True, False, "6de84affbd189bd88593d15707f49832b0a171ec347c6c18d12b32f987ab96ba"),
+        (30, False, True, "d5273de34db149a72dea74a44f50006102b3362a8a3ec5922d9b57acfd41b0bd"),
+        (30, True, True, "cfc3061b84505b83de01ac1964a666e624371a853a9e3ba454b74ae86e02bc2f"),
+    ]
+
     @pytest.mark.parametrize(
-        "bound, full, digest",
-        [
-            (2, False, "ccfb2fd081b0f2d70c613c61e96a78aa1cf3621c548c83a735d3898c3670cd2d"),
-            (2, True, "9c2f8533da2334514ca912698e2b049c79c9cdea9c3393412322247d743ab579"),
-            (9, False, "ec1c5f4480351a7e38c9606b35fb8368b83dfd73a3da0ede407c3e59df6032f3"),
-            (9, True, "01978db1e4daaefeac646287e7fbb53b0b4a248983278166fbb91446e80c606d"),
-            (30, False, "464a5eea9e3bf305678460a9184659296514daf04c8db4fdd2e249d335cad360"),
-            (30, True, "6de84affbd189bd88593d15707f49832b0a171ec347c6c18d12b32f987ab96ba"),
-        ],
+        "bound, full, cross_check, digest",
+        SWEEP_DIGESTS,
+        ids=[f"{b}-{f}-{d}" + ("-cross-check" if c else "") for b, f, c, d in SWEEP_DIGESTS],
     )
-    def test_plain_sweep_bytes_unchanged(self, bound, full, digest):
-        argv = ["sweep", "--bound", str(bound), "--json"] + (["--full"] if full else [])
+    def test_plain_sweep_bytes_unchanged(self, bound, full, cross_check, digest):
+        argv = ["sweep", "--bound", str(bound), "--json"]
+        argv += (["--full"] if full else []) + (["--cross-check"] if cross_check else [])
         code, text = run(argv)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest

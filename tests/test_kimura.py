@@ -3,8 +3,6 @@
 import itertools
 import random
 
-import pytest
-
 from triform.kimura import (
     ALGEBRAIC_SOLUTION_INDICATED,
     ASSIGNMENT_COUNT,
@@ -18,7 +16,6 @@ from triform.kimura import (
     _TABLE_FRACTIONS,
     _residue,
     decide_condition_ric,
-    hyperbolic_integer_sweep,
     hyperbolic_integer_triples,
     verify_witness,
 )
@@ -164,14 +161,6 @@ class TestSweep:
         assert "(2,3,7)" in texts
         assert "(2,3,6)" not in texts  # parabolic
         assert "(inf,inf,inf)" in texts
-
-    def test_small_sweep_all_hold(self):
-        for p, v in hyperbolic_integer_sweep(12):
-            assert v.holds, f"{p} unexpectedly matched the table"
-
-    def test_bad_bound(self):
-        with pytest.raises(ValueError):
-            hyperbolic_integer_sweep(1)
 
 
 def random_slot(rng: random.Random) -> ExtRational:
