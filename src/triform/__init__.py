@@ -7,7 +7,7 @@ oracle, and mechanizes the Puiseux-series reduction that turns the verdict
 into the absence of order-two differential subvarieties.
 """
 
-from .scalars import INF, ExtRational, Q, ZeroParameter
+from .scalars import INF, ExtRational, Q, Refused, ZeroParameter
 from .polynomials import NotSplitOverRationals, Poly, RatFunc
 from .schwarzian import (
     Moebius,

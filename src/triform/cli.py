@@ -13,9 +13,9 @@ Machine-readable output (--json) is a single JSON object per invocation
 with fixed field order {input, normalized, triangular, hyperbolic,
 kimura, oracle, conclusion, citations}, suitable for golden files.
 
-Exit codes: 0 conclusion reached, 2 input error or a declared size or work
-limit, 3 internal consistency failure (a cross-check contradiction, which
-indicates a bug).
+Exit codes: 0 conclusion reached, 2 a triform.Refused (an input error or a
+declared size or work limit), 3 internal consistency failure (a cross-check
+contradiction); any other error is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import kimura, puiseux, riccati
-from .parser import DivisionByZeroConstant, ExprSyntaxError, parse_ratfunc
-from .polynomials import OutputTooLarge, RatFunc, check_output_size, height
-from .scalars import MAX_BITS, Q, ZeroParameter, parse_q
+from .parser import parse_ratfunc
+from .polynomials import RatFunc, check_output_size, height
+from .scalars import MAX_BITS, Q, Refused, parse_q
 from .schwarzian import (
     Moebius,
     NotTriangular,
@@ -67,10 +67,6 @@ CITATIONS = {
 FIELDS = (
     "input", "normalized", "triangular", "hyperbolic", "kimura", "oracle", "conclusion", "citations"
 )
-
-
-class InputError(ValueError):
-    pass
 
 
 def _witness_json(w) -> Optional[dict]:
@@ -118,35 +114,34 @@ MAX_A0_WORK = 400_000
 MAX_SWEEP_BOUND = 200
 
 
+def _parse_option(name: str, parse, text: str):
+    """parse(text), with a refusal reworded to name the option --name."""
+    try:
+        return parse(text)
+    except Refused as exc:
+        raise Refused(f"bad --{name} value: {exc}") from exc
+
+
 def _check_bits(option: str, what: str, bits: int) -> None:
     if bits > MAX_BITS:
-        raise InputError(f"bad --{option} value: {what} {bits} bits, above the limit {MAX_BITS}")
+        raise Refused(f"bad --{option} value: {what} {bits} bits, above the limit {MAX_BITS}")
 
 
 def _resolve_input(args) -> Tuple[Optional[TriangleParams], RatFunc, dict]:
     """Build (params-if-known, R, input-echo) from --triangle/--expr, with
     the integers of R checked against MAX_BITS on every route."""
     if args.triangle is not None:
-        try:
-            params = TriangleParams.parse(args.triangle)
-        except (ValueError, ZeroParameter) as exc:
-            raise InputError(f"bad --triangle value: {exc}") from exc
+        params = _parse_option("triangle", TriangleParams.parse, args.triangle)
         R = build_triangular_R(params)
         echo = {"triangle": args.triangle}
     elif args.expr is not None:
-        try:
-            R = parse_ratfunc(args.expr)
-        except (ExprSyntaxError, DivisionByZeroConstant, ValueError) as exc:
-            raise InputError(f"bad --expr value: {exc}") from exc
+        R = _parse_option("expr", parse_ratfunc, args.expr)
         params = None
         echo = {"expr": args.expr}
     else:
-        raise InputError("one of --triangle or --expr is required")
+        raise Refused("one of --triangle or --expr is required")
     if getattr(args, "moebius", None):
-        try:
-            m = Moebius.parse(args.moebius)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad --moebius value: {exc}") from exc
+        m = _parse_option("moebius", Moebius.parse, args.moebius)
         _check_bits("moebius", "the pullback may reach integers of", _pullback_bits(R, m))
         R = moebius_pullback(R, m)
         params = None  # parameters must be re-recognized after the pullback
@@ -222,9 +217,9 @@ def cmd_analyze(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     if args.bound < 2:
-        raise InputError("bad --bound value: bound must be at least 2")
+        raise Refused("bad --bound value: bound must be at least 2")
     if args.bound > MAX_SWEEP_BOUND:
-        raise InputError(f"bad --bound value: {args.bound} is above the limit {MAX_SWEEP_BOUND}")
+        raise Refused(f"bad --bound value: {args.bound} is above the limit {MAX_SWEEP_BOUND}")
     statuses = dict.fromkeys((riccati.CONSISTENT, riccati.INCONCLUSIVE, riccati.CONTRADICTION), 0)
     contradictions, table = [], []
     total = fired = 0
@@ -266,16 +261,11 @@ def cmd_sweep(args, out) -> int:
 def cmd_series_check(args, out) -> int:
     if args.truncation > 0:
         # a cutoff above 0 would drop the leading term a0 * w^0 itself
-        raise InputError(f"bad --truncation value: {args.truncation} is above 0")
-    lambda0 = Q(0)
-    if args.lambda0 is not None:
-        try:
-            lambda0 = parse_q(args.lambda0)
-        except ValueError as exc:
-            raise InputError(f"bad --lambda0 value: {exc}") from exc
+        raise Refused(f"bad --truncation value: {args.truncation} is above 0")
+    lambda0 = Q(0) if args.lambda0 is None else _parse_option("lambda0", parse_q, args.lambda0)
     if args.triangle is None and args.expr is None:
         if args.lambda0 is None:
-            raise InputError("one of --triangle, --expr, or --lambda0 is required")
+            raise Refused("one of --triangle, --expr, or --lambda0 is required")
         R = RatFunc.zero()
         echo = {"lambda0": args.lambda0}
     else:
@@ -285,15 +275,12 @@ def cmd_series_check(args, out) -> int:
 
     a0: Optional[RatFunc] = None
     if args.a0 is not None:
-        try:
-            a0 = parse_ratfunc(args.a0)
-        except (ExprSyntaxError, DivisionByZeroConstant, ValueError) as exc:
-            raise InputError(f"bad --a0 value: {exc}") from exc
+        a0 = _parse_option("a0", parse_ratfunc, args.a0)
         if a0.is_zero:
-            raise InputError("bad --a0 value: the leading coefficient must be nonzero")
+            raise Refused("bad --a0 value: the leading coefficient must be nonzero")
         degree, bits = a0.num.degree + a0.den.degree, height(a0).bit_length()
         if degree * bits > MAX_A0_WORK:
-            raise InputError(
+            raise Refused(
                 f"bad --a0 value: degree {degree} times {bits} bits is {degree * bits}, "
                 f"above the limit {MAX_A0_WORK}"
             )
@@ -365,7 +352,7 @@ def _emit(doc: dict, args, out, code: int = 0) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise InputError(f"bad --out value: {exc}") from exc
+            raise Refused(f"bad --out value: {exc}") from exc
     else:
         print(text, file=out)
     return code
@@ -497,17 +484,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = _arg_parser().parse_args(argv)
     try:
         if args.degree_bound < 0:
-            raise InputError("--degree-bound must be nonnegative")
+            raise Refused("--degree-bound must be nonnegative")
         return args.func(args, out)
-    except (
-        InputError,
-        ZeroParameter,
-        NotTriangular,
-        OutputTooLarge,
-        riccati.NonRationalPoles,
-        riccati.UnsupportedAtInfinity,
-        riccati.TooManyCombos,
-    ) as exc:
+    except Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .polynomials import Poly, RatFunc, height, int_poly
-from .scalars import MAX_BITS
+from .scalars import MAX_BITS, Refused
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(Refused):
     """Syntax error with position and expectation information."""
 
     def __init__(self, position: int, expected: Tuple[str, ...], found: str):
@@ -38,8 +38,12 @@ class ExprSyntaxError(ValueError):
         super().__init__(f"at offset {position}: expected {exp}, found {found}")
 
 
-class DivisionByZeroConstant(ZeroDivisionError):
+class DivisionByZeroConstant(Refused, ZeroDivisionError):
     """The expression divides by a subexpression that is identically zero."""
+
+
+class ExpressionTooLarge(Refused):
+    """The expression is past a size limit."""
 
 
 # -- AST ---------------------------------------------------------------------
@@ -122,6 +126,13 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
+def _int(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError as exc:  # more digits than int() reads
+        raise ExpressionTooLarge(f"at offset {tok.pos}: {exc}") from exc
+
+
 # -- parser ---------------------------------------------------------------------
 
 
@@ -178,15 +189,13 @@ class _Parser:
             self._eat("^")
             if self.cur.kind != "INT":
                 self._fail(("a nonnegative integer exponent",))
-            tok = self._eat("INT")
-            return Pow(base, int(tok.text))
+            return Pow(base, _int(self._eat("INT")))
         return base
 
     def atom(self) -> ExprAST:
         tok = self.cur
         if tok.kind == "INT":
-            self._eat("INT")
-            return Num(int(tok.text))
+            return Num(_int(self._eat("INT")))
         if tok.kind == "NAME":
             self._eat("NAME")
             return Var(tok.text)
@@ -254,10 +263,6 @@ def print_expr(node: ExprAST) -> str:
 MAX_DEGREE = 1000
 
 
-class ExpressionTooLarge(ValueError):
-    pass
-
-
 # A polynomial subtree lowers to a Poly, and a RatFunc is built only once a
 # non-constant divisor appears.  A Poly p has the value of the RatFunc p/1,
 # with the same lengths and height, so the size checks read the same
@@ -320,7 +325,7 @@ def _lower_binop(node: BinOp, left: _Lowered, right: _Lowered) -> _Lowered:
 def to_ratfunc(node: ExprAST) -> RatFunc:
     """Lower an AST into an exact rational function of its single variable.
 
-    Raises ValueError when two distinct names occur, DivisionByZeroConstant
+    Raises Refused when two distinct names occur, DivisionByZeroConstant
     when a divisor is identically zero, ExpressionTooLarge past the size
     limits.
     """
@@ -339,7 +344,7 @@ def to_ratfunc(node: ExprAST) -> RatFunc:
 
     scan(node)
     if len(names) > 1:
-        raise ValueError(f"expression mixes variables {sorted(names)}")
+        raise Refused(f"expression mixes variables {sorted(names)}")
 
     def lower(n: ExprAST) -> _Lowered:
         if isinstance(n, Num):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Tuple
 
-from .scalars import MAX_OUTPUT_BITS, Q
+from .scalars import MAX_OUTPUT_BITS, Q, Refused
 
 NEG_INF = float("-inf")
 
@@ -458,7 +458,7 @@ def height(f) -> int:
     return max(max(map(abs, p.ints + (p.den,))) for p in polys)
 
 
-class OutputTooLarge(ValueError):
+class OutputTooLarge(Refused):
     """A result to print has an integer above scalars.MAX_OUTPUT_BITS bits."""
 
 

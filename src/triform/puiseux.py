@@ -30,12 +30,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .polynomials import RatFunc
-from .scalars import Q
+from .scalars import Q, Refused
 
 EXACT = float("-inf")  # cutoff sentinel: nothing is truncated
 
 
-class ZeroLeadingCoefficient(ValueError):
+class ZeroLeadingCoefficient(Refused):
     """leading_constraints needs a nonzero leading coefficient."""
 
 

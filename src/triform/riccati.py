@@ -50,18 +50,18 @@ from .polynomials import (
     int_poly,
     linear_factorization,
 )
-from .scalars import Q, rational_sqrt
+from .scalars import Q, Refused, rational_sqrt
 from .schwarzian import TriangleParams, build_triangular_R
 
 
 _HALF = Q(1, 2)
 
 
-class NonRationalPoles(ValueError):
+class NonRationalPoles(Refused):
     """The coefficient function has a pole not defined over Q."""
 
 
-class UnsupportedAtInfinity(ValueError):
+class UnsupportedAtInfinity(Refused):
     """(1/2)R grows at infinity; the local-exponent method does not apply."""
 
 
@@ -75,8 +75,21 @@ class UnsupportedAtInfinity(ValueError):
 MAX_COMBOS = 512
 
 
-class TooManyCombos(ValueError):
+class TooManyCombos(Refused):
     """The oracle would enumerate more than MAX_COMBOS exponent combos."""
+
+
+# Declared work limit of the oracle's solves for P: the sum of (d + 1)^2, a
+# solve's cost, over the degrees d solved; at most MAX_COMBOS * 25^2 =
+# 320,000 under the default degree bound 24.  On a 2-core x86-64 with Python
+# 3.11, (1/2)R = -N(N-1)/(y+1)^2 takes 0.24-0.27 s at N = 499 (work 996,006)
+# and 0.76 s at N = 1000 (4,000,002), and the R of u = sum_{i=1..8} c/(y - i)
+# 0.80-0.83 s at c = 7 (805,632) and 1.0 s at c = 8 (1,067,776).
+MAX_SOLVE_WORK = 1_000_000
+
+
+class TooMuchSolveWork(Refused):
+    """The oracle's solves for P would pass MAX_SOLVE_WORK."""
 
 
 @dataclass(frozen=True)
@@ -253,14 +266,13 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
 
     Raises NonRationalPoles when a pole is not rational,
     UnsupportedAtInfinity when (1/2)R does not vanish to order >= 2 at
-    infinity, and TooManyCombos, before the enumeration, when the combos
-    would number above MAX_COMBOS.
+    infinity, TooManyCombos, before the enumeration, above MAX_COMBOS combos,
+    and TooMuchSolveWork before the solve that would pass MAX_SOLVE_WORK.
     """
     r = e.half_R
     cert = SearchCertificate()
 
     # local data at the finite poles, on the integers of r and its poles
-    pole_list: List[PoleData] = []
     local: List[Tuple] = []  # (pole, text, options) per pole
     if not r.is_zero and r.den.degree > 0:
         try:
@@ -281,16 +293,14 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
                 vn, vd = r.num.at(p, q)  # kappa = num(pole)/h
                 n, d = _lowest(vn * h[1], vd * h[0])
             kappa, roots, options = _indicial_roots_of(n, d)
+            cert.poles.append(PoleData(pole, order, kappa, roots or ()))
             if roots is None:
                 cert.notes.append(
                     f"IrrationalLocalExponent at pole {text} (kappa = {kappa}): "
                     "no rational solution passes through this point"
                 )
-                cert.poles.append(PoleData(pole, order, kappa, ()))
                 return OracleResult((), cert)
-            pole_list.append(PoleData(pole, order, kappa, roots))
             local.append((pole, text, options))
-    cert.poles = pole_list
 
     # local data at infinity
     deg_inf = r.degree_at_infinity
@@ -319,6 +329,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
 
     solutions: List[RatFunc] = []
     complete = True
+    work = 0
     parts = None  # S, S/(y - c) per pole, S', S^2 and S^2 r: built at the first solve
     for choice, residues, text_inf, text_d, d in _exponent_combinations(local, options_inf):
         entry = {"residues": residues, "exponent_at_infinity": text_inf, "degree": text_d}
@@ -330,6 +341,11 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
             entry["status"] = f"pruned: degree {d} exceeds bound {degree_bound}"
             complete = False
             continue
+        work += (d + 1) ** 2
+        if work > MAX_SOLVE_WORK:
+            raise TooMuchSolveWork(
+                f"the oracle's solves would reach work {work}, above the limit {MAX_SOLVE_WORK}"
+            )
         if parts is None:
             parts = _operator_parts(r, [pole for pole, _, _ in local])
         S, cofactors, dS, S2, W = parts

@@ -20,14 +20,18 @@ from typing import Optional
 Q = Fraction
 
 
-class ZeroParameter(ValueError):
+class Refused(ValueError):
+    """A rejected input or a declared size or work limit: the CLI exits 2."""
+
+
+class ZeroParameter(Refused):
     """A triangle parameter slot holds 0, which has no inverse."""
 
 
 # Fraction("1e<n>") builds 10**n, unbounded in time and memory for a long
 # exponent; input text may not write a power of ten above this.
 MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")  # Fraction's exponent grammar
 
 # Declared size limit of input integers (exit 2 in the CLI), which keeps
 # them under the 4300 digits Python will print.
@@ -42,17 +46,20 @@ MAX_OUTPUT_BITS = 14_000
 
 def parse_q(text: str) -> Fraction:
     """Q(text) for input text; any bad text, 1/0 included, and any value with
-    an integer above MAX_BITS bits raise ValueError."""
+    an integer above MAX_BITS bits raise Refused."""
     m = _EXPONENT.search(text)
-    if m and abs(int(m.group(1))) > MAX_EXPONENT:
-        raise ValueError(f"exponent in {text!r} is above the limit {MAX_EXPONENT}")
     try:
-        q = Q(text)
+        exponent = abs(int(m.group(1))) if m else 0
+        q = Q(text) if exponent <= MAX_EXPONENT else None
     except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
+        raise Refused(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:  # an invalid literal, or more digits than int() reads
+        raise Refused(str(exc)) from exc
+    if q is None:
+        raise Refused(f"exponent in {text!r} is above the limit {MAX_EXPONENT}")
     bits = max(abs(q.numerator), q.denominator).bit_length()
     if bits > MAX_BITS:
-        raise ValueError(f"an integer of {bits} bits is above the limit {MAX_BITS}")
+        raise Refused(f"an integer of {bits} bits is above the limit {MAX_BITS}")
     return q
 
 
@@ -101,8 +108,6 @@ class ExtRational:
         v = self.value
         if v is None:
             return Q(0)
-        if not v:
-            raise ZeroParameter("0 has no inverse among triangle parameters")
         return Q(v.denominator, v.numerator)
 
     def __str__(self) -> str:

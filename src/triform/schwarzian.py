@@ -19,18 +19,18 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .polynomials import Poly, RatFunc, int_poly
-from .scalars import INF, ExtRational, Q, ZeroParameter, parse_q, rational_sqrt
+from .scalars import INF, ExtRational, Q, Refused, ZeroParameter, parse_q, rational_sqrt
 
 
 class NotTriangular(ValueError):
-    """R is not of the triangular form (wrong poles, or rebuild mismatch)."""
+    """R is not triangular with rational parameters: a verdict, not a refusal."""
 
     def __init__(self, message: str, inverse_squares: Optional[Tuple] = None):
         super().__init__(message)
         self.inverse_squares = inverse_squares
 
 
-class SingularMoebius(ValueError):
+class SingularMoebius(Refused):
     """Moebius map with ad - bc = 0."""
 
 
@@ -55,9 +55,8 @@ class TriangleParams:
     def parse(text: str) -> "TriangleParams":
         parts = text.split(",")
         if len(parts) != 3:
-            raise ValueError(f"expected three comma-separated parameters, got {text!r}")
-        a, b, c = (ExtRational.parse(p) for p in parts)
-        return TriangleParams(a, b, c)
+            raise Refused(f"expected three comma-separated parameters, got {text!r}")
+        return TriangleParams(*(ExtRational.parse(p) for p in parts))
 
     @classmethod
     def _with_inverses(cls, alpha, beta, gamma, inverses) -> "TriangleParams":
@@ -148,11 +147,11 @@ def recognize_triangular(R: RatFunc) -> TriangularRecognition:
     when R.den divides y^2 (y - 1)^2 and R vanishes to order >= 2 at
     infinity.  With N = (n0 + n1 y + n2 y^2)/L, the limits of y^2 R at 0,
     (y - 1)^2 R at 1 and y^2 R at infinity are n0/L, (n0 + n1 + n2)/L and
-    n2/L, and each inverse square is 1 - 2 * limit.
+    n2/L, and each inverse square is 1 - 2 * limit; building R from these
+    gives back N / (y^2 (y - 1)^2) = R, so no rebuild needs checking.
 
     Raises NotTriangular when the poles are not contained in {0, 1} with
-    order <= 2, when R does not vanish to order >= 2 at infinity, when
-    rebuilding from the extracted local data does not reproduce R, or when
+    order <= 2, when R does not vanish to order >= 2 at infinity, or when
     an inverse square is negative.
     """
     cofactor, rem = divmod(_TRI_DEN, R.den)
@@ -165,12 +164,6 @@ def recognize_triangular(R: RatFunc) -> TriangularRecognition:
     n0, n1, n2 = N.ints + (0,) * (3 - len(N.ints))
     A, B, C = L - 2 * n2, L - 2 * n0, L - 2 * (n0 + n1 + n2)
     inverse_squares = (Q(A, L), Q(B, L), Q(C, L))
-    if _build_from_inverse_squares(A, B, C, L) != R:
-        raise NotTriangular(
-            f"rebuilding from local data {tuple(map(str, inverse_squares))} does not "
-            f"reproduce {R}",
-            inverse_squares,
-        )
 
     params = []
     for inv2 in inverse_squares:
@@ -211,7 +204,7 @@ class Moebius:
     def parse(text: str) -> "Moebius":
         parts = text.split(",")
         if len(parts) != 4:
-            raise ValueError(f"expected four comma-separated entries, got {text!r}")
+            raise Refused(f"expected four comma-separated entries, got {text!r}")
         return Moebius(*(parse_q(p) for p in parts))
 
     def inverse(self) -> "Moebius":

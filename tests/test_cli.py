@@ -9,13 +9,16 @@ import tracemalloc
 
 import pytest
 
+import triform
 import triform.cli as cli
 import triform.kimura as kimura
 import triform.riccati as riccati
 from triform.cli import main
-from triform.polynomials import Poly, RatFunc
-from triform.scalars import Q
-from triform.schwarzian import TriangleParams
+from triform.parser import DivisionByZeroConstant, ExpressionTooLarge, ExprSyntaxError
+from triform.polynomials import NotSplitOverRationals, OutputTooLarge, Poly, RatFunc
+from triform.puiseux import ZeroLeadingCoefficient
+from triform.scalars import Q, ZeroParameter
+from triform.schwarzian import NotTriangular, SingularMoebius, TriangleParams
 
 FIELD_ORDER = [
     "input",
@@ -114,6 +117,54 @@ class TestAnalyze:
         assert doc["oracle"]["consistency"] == "CONTRADICTION"
 
 
+class TestRefused:
+    """Exit 2 is exactly a triform.Refused, raised by the layer that rejects
+    the input; any other error is a bug and propagates."""
+
+    def test_every_refusal_is_a_refused(self):
+        refusals = [
+            ZeroParameter, ExprSyntaxError, ExpressionTooLarge, DivisionByZeroConstant,
+            OutputTooLarge, riccati.NonRationalPoles, riccati.UnsupportedAtInfinity,
+            riccati.TooManyCombos, riccati.TooMuchSolveWork, SingularMoebius,
+            ZeroLeadingCoefficient,
+        ]
+        assert all(issubclass(c, triform.Refused) for c in refusals)
+        assert issubclass(DivisionByZeroConstant, ZeroDivisionError)
+        # a verdict, and an error the oracle converts, are not refusals
+        assert not issubclass(NotTriangular, triform.Refused)
+        assert not issubclass(NotSplitOverRationals, triform.Refused)
+
+    def test_bare_value_error_propagates(self, monkeypatch):
+        def boom(text):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "parse_ratfunc", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            main(["analyze", "--expr", "y"], out=io.StringIO())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # underscores int() refuses fall through to Fraction's own message
+            (["series-check", "--lambda0=e_32"], "Invalid literal for Fraction: 'e_32'"),
+            (["analyze", "--triangle=2,3,7e_1"], "Invalid literal for Fraction: '7e_1'"),
+            (
+                ["series-check", "--lambda0=1e999999"],
+                "exponent in '1e999999' is above the limit 1000",
+            ),
+            (
+                ["series-check", "--lambda0=1e1_000_000"],
+                "exponent in '1e1_000_000' is above the limit 1000",
+            ),
+        ],
+    )
+    def test_number_text_refused(self, argv, message, capsys):
+        code, text = run(argv)
+        assert code == 2 and text == ""
+        option = argv[1].split("=")[0]
+        assert capsys.readouterr().err == f"error: bad {option} value: {message}\n"
+
+
 class TestInputChecks:
     @pytest.mark.parametrize(
         "argv",
@@ -139,11 +190,16 @@ class TestInputChecks:
             ["analyze", "--triangle", "2,3,7", "--moebius", "1e-2000,0,0,1"],
             ["series-check", "--lambda0", "1/0"],
             ["series-check", "--triangle", "2,3,7", "--a0", "y-y"],
+            ["analyze", "--expr", "1" * 5000],
+            ["analyze", "--expr", "y^" + "1" * 5000],
+            ["series-check", "--lambda0", "1e" + "1" * 5000],
+            ["series-check", "--lambda0", "1" * 5000],
         ],
     )
     def test_bad_number_exits_2(self, argv, capsys):
         # Fraction("1/0") raises ZeroDivisionError and Fraction("1e5000")
-        # builds 10**5000; a zero a0 is no leading term
+        # builds 10**5000; a zero a0 is no leading term; int() raises
+        # ValueError past 4300 digits
         code, text = run(argv)
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: bad --")
@@ -353,6 +409,12 @@ class TestSweep:
         rows = {row["triangle"]: row["outcome"] for row in doc["table"]}
         assert rows["(2,3,inf)"] == "ConditionRicHolds"
         assert all(v == "ConditionRicHolds" for v in rows.values())
+
+    def test_full_table_text_bytes_unchanged(self):
+        code, text = run(["sweep", "--bound", "5", "--full"])
+        assert code == 0 and "\n  (2,3,inf): ConditionRicHolds\n" in text
+        digest = "e5f851504b232fe0048bb4a4a3a2a921ab7128a54db8f6281c5684a92878da1b"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_bad_bound_exits_2(self, capsys):
         code, text = run(["sweep", "--bound", "1"])
@@ -564,6 +626,31 @@ class TestOracle:
         err = capsys.readouterr().err
         assert err == "error: the oracle would try 1024 exponent combos, above the limit 512\n"
 
+    def test_default_degree_bound_stays_under_the_solve_work_limit(self):
+        assert riccati.MAX_COMBOS * 25**2 <= riccati.MAX_SOLVE_WORK
+
+    def test_largest_accepted_solve_work_runs_fast(self):
+        # (1/2)R = -N(N-1)/(y+1)^2 at N = 499 solves degrees 0, 0 and 997:
+        # work 1 + 998^2 + 1 = 996,006
+        start = time.perf_counter()
+        code, doc = run_json(["oracle", "--expr=-497004/(y+1)^2", "--degree-bound", "100000"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and doc["oracle"]["solutions"] == ["499/(y + 1)", "-498/(y + 1)"]
+
+    @pytest.mark.parametrize(
+        "expr, work", [("-499000/(y+1)^2", 1_000_001), ("-7996000/(y+1)^2", 16_000_001)]
+    )
+    def test_solve_work_over_the_limit_exits_2_fast(self, expr, work, capsys):
+        # N = 500 and N = 2000: the solve of degree 2N - 1 follows one of
+        # degree 0; unlimited, N = 2000 takes seconds
+        start = time.perf_counter()
+        code, text = run(["oracle", f"--expr={expr}", "--degree-bound", "100000"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: the oracle's solves would reach work {work}, above the limit 1000000\n"
+        )
+
 
 class TestSeriesCheck:
     def test_satisfied_leading_constraint(self):
@@ -760,6 +847,18 @@ PULLED = (
             ["series-check", "--expr", "(3/4 - y^2/5)/(y^2*(y - 1)^2)", "--a0", "2/(3*y) - 7*y/5"],
             "2988d0444a73d7621921084f34e44c9ce7ca636ded501b734968eeab391f418f",
             "dffd50613623c9c16a5422f8a332ac62bbaade7ceb25e64ce98f34e363dd5010",
+        ),
+        # inverse squares (2, 1/4, 1/9): 2 is not a rational square
+        (
+            ["analyze", "--expr", "(-1/2*y^2 + 41/72*y + 3/8)/(y^4 - 2*y^3 + y^2)"],
+            "e00ccb57c8828232ed60f0aee939ad34eded2b98f38fdf595e2f10bdedcec4c5",
+            "ee9af893076e6958c321661edea6cdf2c57e5a2adf725c255716468cdb44b619",
+        ),
+        # inverse squares (-1, 1/4, 1/9): NotTriangular, with the squares shown
+        (
+            ["analyze", "--expr", "(y^2 - 67/72*y + 3/8)/(y^4 - 2*y^3 + y^2)"],
+            "b26245dec4a584b1553802c799fba07c76b2dcb9f738fd2a177bee0e4d8028e1",
+            "ce79d4785bed3b6ac0a99c93a6c15d19df213d237c14541f27dece02091b49ac",
         ),
     ],
 )

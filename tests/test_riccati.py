@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from triform import riccati
+from triform.parser import parse_ratfunc
 from triform.polynomials import Poly, RatFunc
 from triform.riccati import (
     CONSISTENT,
@@ -270,6 +271,23 @@ class TestLocalData:
             n, d = P.at(x.numerator, x.denominator)
             want = sum((c * x**k for k, c in enumerate(coeffs(P))), Q(0))
             assert d > 0 and Q(n, d) == want == P(x)
+
+    @pytest.mark.parametrize(
+        "expr, stop",
+        [
+            # kappa 1/2 at 1: e^2 - e + 1/2 has no rational root
+            ("-4/y^2 + 1/(y-1)^2", (Q(1), 2, Q(1, 2), ())),
+            ("-4/y^2 + 1/(y-1)^3", (Q(1), 3, Q(0), ())),
+        ],
+    )
+    def test_early_stop_lists_every_pole_examined(self, expr, stop):
+        # the pole 0 (kappa -2, exponents 2 and -1) comes before the pole 1
+        # that stops the search
+        result = rational_solutions(RiccatiEq(parse_ratfunc(expr)))
+        cert = result.certificate
+        assert result.solutions == () and len(cert.notes) == 1
+        poles = [(d.pole, d.order, d.kappa, d.exponents) for d in cert.poles]
+        assert poles == [(Q(0), 2, Q(-2), (Q(2), Q(-1))), stop]
 
 
 # The per-combo degree d = e_inf - (sum of residues) as Fraction sums,
