@@ -21,9 +21,12 @@ contradiction); any other error is a bug and ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from typing import List, Optional, Tuple
 
@@ -107,7 +110,7 @@ MAX_A0_WORK = 400_000
 # Declared limit of sweep's --bound, checked before the enumeration starts;
 # the triples grow as bound^3 / 6.  Measured at the limit, 1,353,194
 # triples, in a fresh process on a 2-core x86-64 with Python 3.11: the plain
-# sweep takes 8-9 s in 16 MiB, --cross-check 73-88 s in 16 MiB (past the 60 s
+# sweep takes 4-5.5 s in 17 MiB, --cross-check 73-88 s in 16 MiB (past the 60 s
 # criterion 4 allows the bound-100 cross-check), and --full --json 18-22 s in
 # 1.2 GiB, for its 113 MB of output.  200 lets the plain sweep, the paper's
 # check, reach twice criterion 1's bound.
@@ -341,6 +344,22 @@ def cmd_oracle(args, out) -> int:
     return _emit(doc, args, out)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that is a directory, or whose directory is missing or
+    not a directory, before any work starts, with the message open() would
+    give; creates and truncates nothing."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            if stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+                return
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    raise Refused(f"bad --out value: {OSError(code, os.strerror(code), path)}")
+
+
 def _emit(doc: dict, args, out, code: int = 0) -> int:
     """Write doc as JSON or text and return the exit code."""
     if args.json:
@@ -485,6 +504,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     try:
         if args.degree_bound < 0:
             raise Refused("--degree-bound must be nonnegative")
+        if args.out:
+            _check_out(args.out)
         return args.func(args, out)
     except Refused as exc:
         print(f"error: {exc}", file=sys.stderr)

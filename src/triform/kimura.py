@@ -15,6 +15,11 @@ If neither fires over the exhaustive 15 x 6 x 8 = 720 assignment search and
 the four sums, the Riccati equation has no algebraic solution over the
 algebraic closure of C(y) ("condition Ric holds") and the Schwarzian
 equation has no order-two differential subvarieties.
+
+The decision runs on integer pairs: each x_i is read once as the reduced
+pair (n, d) that TriangleParams.inverse_pairs keeps, its residue modulo Z
+is (n % d, d), and the sums are taken over the lcm of the denominators.
+Only verify_witness, the independent replay, works on Fraction values.
 """
 
 from __future__ import annotations
@@ -112,6 +117,11 @@ class KimuraVerdict:
 
 _TABLE_FRACTIONS = frozenset(q for row in TABLE for q in row.slots if q is not None)
 
+# Every row fixes at least two slots, and a slot holding q matches only an
+# x whose denominator is that of q: condition 1 needs two inverses with a
+# denominator from this set.
+_TABLE_DENOMINATORS = frozenset(q.denominator for q in _TABLE_FRACTIONS)
+
 
 def _residue(x) -> Tuple[int, int]:
     """x mod 1 as (numerator, denominator) integers; x = n/d in lowest terms."""
@@ -119,14 +129,14 @@ def _residue(x) -> Tuple[int, int]:
     return (x.numerator % d, d)
 
 
-# Per row: the row, the fractions it needs, and per slot (its fraction q, the
-# residue of x with x in q + Z, the residue of x with -x in q + Z), or None
-# for an "arbitrary" slot.
+# Per row: the row, the fractions it needs, and per slot (the numerator of
+# its fraction q, the residue of x with x in q + Z, the residue of x with
+# -x in q + Z), or None for an "arbitrary" slot.
 _ROWS = tuple(
     (
         row,
         frozenset(q for q in row.slots if q is not None),
-        tuple(None if q is None else (q, _residue(q), _residue(-q)) for q in row.slots),
+        tuple(None if q is None else (q.numerator, _residue(q), _residue(-q)) for q in row.slots),
     )
     for row in TABLE
 )
@@ -139,17 +149,28 @@ _RESIDUE_MATCHES = {
 }
 _NO_MATCH: frozenset = frozenset()
 
+_Pairs = Tuple[Tuple[int, int], ...]
+
 
 def condition_one(p: TriangleParams) -> Optional[LatticeWitness]:
-    """Exhaustive search of the table; first witness by (row, perm, signs).
+    """Exhaustive search of the table; first witness by (row, perm, signs)."""
+    return _condition_one(p.inverse_pairs())
 
-    A row is tried only if the residues of xs hit every fraction it needs.
-    A slot holding q matches sign * x exactly when x has the residue of
-    sign * q; the sign patterns run in itertools.product((1, -1)) order,
-    restricted to the signs under which each slot matches.
+
+def _condition_one(pairs: _Pairs) -> Optional[LatticeWitness]:
+    """condition_one on the inverse pairs (n, d).
+
+    A row is tried only if the residues (n % d, d) hit every fraction it
+    needs.  A slot holding q matches sign * x exactly when x has the
+    residue of sign * q, and then sign * x - q = (sign * n - num(q)) / d
+    is an integer; the sign patterns run in itertools.product((1, -1))
+    order, restricted to the signs under which each slot matches.
     """
-    xs = p.inverses()
-    residues = [_residue(x) for x in xs]
+    (n0, d0), (n1, d1), (n2, d2) = pairs
+    dens = _TABLE_DENOMINATORS
+    if (d0 in dens) + (d1 in dens) + (d2 in dens) < 2:
+        return None
+    residues = ((n0 % d0, d0), (n1 % d1, d1), (n2 % d2, d2))
     get = _RESIDUE_MATCHES.get
     matched = get(residues[0], _NO_MATCH) | get(residues[1], _NO_MATCH) | get(residues[2], _NO_MATCH)
     if not matched:
@@ -174,7 +195,7 @@ def condition_one(p: TriangleParams) -> Optional[LatticeWitness]:
             else:
                 for signs in product(*allowed):
                     integers: List[Optional[int]] = [
-                        None if data is None else int(sign * xs[i] - data[0])
+                        None if data is None else (sign * pairs[i][0] - data[0]) // pairs[i][1]
                         for sign, i, data in zip(signs, perm, slots)
                     ]
                     if row.parity and sum(k for k in integers if k is not None) % 2 != 0:
@@ -183,27 +204,31 @@ def condition_one(p: TriangleParams) -> Optional[LatticeWitness]:
     return None
 
 
-_SUM_SIGNS: Tuple[Tuple[int, int, int], ...] = (
-    (1, 1, 1),
-    (-1, 1, 1),
-    (1, -1, 1),
-    (1, 1, -1),
-)
-
-
 def condition_two(p: TriangleParams) -> Optional[OddSumWitness]:
-    """First of the four single-flip sums that is an odd integer, if any.
+    """First of the four single-flip sums +-x0 + x1 + x2 that is an odd
+    integer, if any."""
+    return _condition_two(p.inverse_pairs())
 
-    On integers: over the common denominator D of the inverses, a sum is
-    an odd integer exactly when its numerator is an odd multiple of D."""
-    x0, x1, x2 = p.inverses()
-    d0, d1, d2 = x0.denominator, x1.denominator, x2.denominator
+
+def _condition_two(pairs: _Pairs) -> Optional[OddSumWitness]:
+    """condition_two on the inverse pairs (n, d).
+
+    Over the common denominator D of the inverses, a sum is an odd integer
+    exactly when its numerator is an odd multiple of D.  The sums run in
+    the order (1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)."""
+    (n0, d0), (n1, d1), (n2, d2) = pairs
     D = math.lcm(d0, d1, d2)
-    n0, n1, n2 = x0.numerator * (D // d0), x1.numerator * (D // d1), x2.numerator * (D // d2)
-    total = n0 + n1 + n2
-    for signs, s in zip(_SUM_SIGNS, (total, total - 2 * n0, total - 2 * n1, total - 2 * n2)):
-        if s % (2 * D) == D:
-            return OddSumWitness(signs, s // D)
+    n0, n1, n2 = n0 * (D // d0), n1 * (D // d1), n2 * (D // d2)
+    D2 = 2 * D
+    s = n0 + n1 + n2
+    if s % D2 == D:
+        return OddSumWitness((1, 1, 1), s // D)
+    if (s - 2 * n0) % D2 == D:
+        return OddSumWitness((-1, 1, 1), (s - 2 * n0) // D)
+    if (s - 2 * n1) % D2 == D:
+        return OddSumWitness((1, -1, 1), (s - 2 * n1) // D)
+    if (s - 2 * n2) % D2 == D:
+        return OddSumWitness((1, 1, -1), (s - 2 * n2) // D)
     return None
 
 
@@ -245,7 +270,8 @@ def decide_condition_ric(p: TriangleParams) -> KimuraVerdict:
     CONDITION_RIC_HOLDS is returned only after the exhaustive search over
     all 720 table assignments and all four sums found nothing.
     """
-    w = condition_one(p) or condition_two(p)
+    pairs = p.inverse_pairs()
+    w = _condition_one(pairs) or _condition_two(pairs)
     if w is None:
         return _HOLDS
     return KimuraVerdict(ALGEBRAIC_SOLUTION_INDICATED, w)
@@ -259,8 +285,8 @@ def hyperbolic_integer_triples(bound: int) -> Iterator[TriangleParams]:
     that is c * (ab - a - b) > ab, so for each a <= b the admissible c form
     a tail of the range, and c = inf is admissible when ab - a - b > 0.
     """
-    slots = [None, None] + [(ExtRational.of(n), Q(1, n)) for n in range(2, bound + 1)]
-    zero = Q(0)
+    slots = [None, None] + [(ExtRational.of(n), (1, n)) for n in range(2, bound + 1)]
+    zero = (0, 1)
     make = TriangleParams._with_inverses
     for a in range(2, bound + 1):
         ea, ia = slots[a]

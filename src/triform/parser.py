@@ -136,10 +136,28 @@ def _int(tok: _Token) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+# Declared limits of an expression's shape (exit 2 in the CLI), checked as
+# the parser reads it, before the recursion they bound.  The parser
+# recurses five frames deep per parenthesis and one per unary minus, which
+# MAX_NESTING counts together; lowering and printing recurse one frame per
+# operator on a path from the root, which MAX_DEPTH counts (a sum y+y+...+y
+# of k terms has k - 1).  Measured on Python 3.11, counted from the caller of
+# cli.main: MAX_NESTING parentheses around y, and a sum of MAX_DEPTH + 1
+# terms inside them, need 515 of the default 1,000 frames, so the caller
+# keeps 485.  Without the limits, 200 parentheses or a 1,001-term sum ran
+# out of frames.
+MAX_NESTING = 100
+MAX_DEPTH = 500
+
+
 class _Parser:
+    """Recursive descent; each method returns (node, depth), depth being
+    the number of operators on the longest path from node to a leaf."""
+
     def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0
 
     @property
     def cur(self) -> _Token:
@@ -157,52 +175,76 @@ class _Parser:
         self.i += 1
         return tok
 
+    def _nest(self, tok: _Token) -> None:
+        """Enter a parenthesis or a unary minus at tok, before recursing."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExpressionTooLarge(
+                f"at offset {tok.pos}: parentheses and unary minus nest deeper than "
+                f"the limit {MAX_NESTING}"
+            )
+
+    @staticmethod
+    def _depth(tok: _Token, depth: int) -> int:
+        """depth + 1 for the operator at tok, checked against MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ExpressionTooLarge(
+                f"at offset {tok.pos}: operators nest deeper than the limit {MAX_DEPTH}"
+            )
+        return depth + 1
+
     def parse(self) -> ExprAST:
-        node = self.expr()
+        node, _ = self.expr()
         if self.cur.kind != "EOF":
             self._fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
         return node
 
-    def expr(self) -> ExprAST:
-        node = self.term()
+    def expr(self) -> Tuple[ExprAST, int]:
+        node, depth = self.term()
         while self.cur.kind in ("+", "-"):
-            op = self._eat(self.cur.kind).kind
-            node = BinOp(op, node, self.term())
-        return node
+            tok = self._eat(self.cur.kind)
+            right, right_depth = self.term()
+            node, depth = BinOp(tok.kind, node, right), self._depth(tok, max(depth, right_depth))
+        return node, depth
 
-    def term(self) -> ExprAST:
-        node = self.unary()
+    def term(self) -> Tuple[ExprAST, int]:
+        node, depth = self.unary()
         while self.cur.kind in ("*", "/"):
-            op = self._eat(self.cur.kind).kind
-            node = BinOp(op, node, self.unary())
-        return node
+            tok = self._eat(self.cur.kind)
+            right, right_depth = self.unary()
+            node, depth = BinOp(tok.kind, node, right), self._depth(tok, max(depth, right_depth))
+        return node, depth
 
-    def unary(self) -> ExprAST:
+    def unary(self) -> Tuple[ExprAST, int]:
         if self.cur.kind == "-":
-            self._eat("-")
-            return Neg(self.unary())
+            tok = self._eat("-")
+            self._nest(tok)
+            operand, depth = self.unary()
+            self.nesting -= 1
+            return Neg(operand), self._depth(tok, depth)
         return self.power()
 
-    def power(self) -> ExprAST:
-        base = self.atom()
+    def power(self) -> Tuple[ExprAST, int]:
+        base, depth = self.atom()
         if self.cur.kind == "^":
-            self._eat("^")
+            tok = self._eat("^")
             if self.cur.kind != "INT":
                 self._fail(("a nonnegative integer exponent",))
-            return Pow(base, _int(self._eat("INT")))
-        return base
+            return Pow(base, _int(self._eat("INT"))), self._depth(tok, depth)
+        return base, depth
 
-    def atom(self) -> ExprAST:
+    def atom(self) -> Tuple[ExprAST, int]:
         tok = self.cur
         if tok.kind == "INT":
-            return Num(_int(self._eat("INT")))
+            return Num(_int(self._eat("INT"))), 0
         if tok.kind == "NAME":
             self._eat("NAME")
-            return Var(tok.text)
+            return Var(tok.text), 0
         if tok.kind == "(":
-            self._eat("(")
+            self._nest(self._eat("("))
             node = self.expr()
             self._eat(")")
+            self.nesting -= 1
             return node
         self._fail(("an integer", "a name", "'('", "'-'"))
 

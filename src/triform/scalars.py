@@ -6,7 +6,8 @@ keep their own integer form (see polynomials.Poly) and build Q values only
 at their edge.
 
 ExtRational adds the single extra point "infinity" used for triangle
-parameters: inverse(inf) = 0, inverse(q) = 1/q, inverse(0) is an error.
+parameters: 1/inf = 0 and 1/q is q's inverse, both given as a reduced
+integer pair (numerator, denominator > 0); 1/0 is an error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 Q = Fraction
 
@@ -103,12 +104,15 @@ class ExtRational:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    def inverse(self):
-        """1/x with the convention inverse(inf) = 0."""
+    def inverse_pair(self) -> Tuple[int, int]:
+        """1/x as a reduced pair (n, d) with d > 0; 1/inf is (0, 1)."""
         v = self.value
         if v is None:
-            return Q(0)
-        return Q(v.denominator, v.numerator)
+            return (0, 1)
+        n, d = v.numerator, v.denominator
+        if n == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        return (d, n) if n > 0 else (-d, -n)
 
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)

@@ -59,25 +59,32 @@ class TriangleParams:
         return TriangleParams(*(ExtRational.parse(p) for p in parts))
 
     @classmethod
-    def _with_inverses(cls, alpha, beta, gamma, inverses) -> "TriangleParams":
-        """Trusted constructor: nonzero slots whose inverses are known."""
+    def _with_inverses(cls, alpha, beta, gamma, pairs) -> "TriangleParams":
+        """Trusted constructor: nonzero slots whose inverse pairs are known."""
         self = object.__new__(cls)
-        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma, _inverses=inverses)
+        d = self.__dict__  # item assignments: faster than update(**fields)
+        d["alpha"], d["beta"], d["gamma"], d["_pairs"] = alpha, beta, gamma, pairs
         return self
 
+    def inverse_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """(1/alpha, 1/beta, 1/gamma) as reduced pairs (n, d) with d > 0, and
+        1/inf = (0, 1).  Computed once and kept on the instance, outside the
+        dataclass fields, so it takes no part in __eq__, __hash__ or repr."""
+        pairs = self.__dict__.get("_pairs")
+        if pairs is None:
+            pairs = (self.alpha.inverse_pair(), self.beta.inverse_pair(), self.gamma.inverse_pair())
+            object.__setattr__(self, "_pairs", pairs)
+        return pairs
+
     def inverses(self) -> Tuple:
-        """(1/alpha, 1/beta, 1/gamma) with 1/inf = 0.  Computed once and kept
-        on the instance, outside the dataclass fields, so it takes no part in
-        __eq__, __hash__ or repr."""
-        inv = self.__dict__.get("_inverses")
-        if inv is None:
-            inv = (self.alpha.inverse(), self.beta.inverse(), self.gamma.inverse())
-            object.__setattr__(self, "_inverses", inv)
-        return inv
+        """(1/alpha, 1/beta, 1/gamma) as Q values, with 1/inf = 0."""
+        return tuple(Q(n, d) for n, d in self.inverse_pairs())
 
     @property
     def is_hyperbolic(self) -> bool:
-        return sum(self.inverses()) < 1
+        (na, da), (nb, db), (nc, dc) = self.inverse_pairs()
+        # 1/alpha + 1/beta + 1/gamma < 1, over the denominator da * db * dc > 0
+        return na * db * dc + nb * da * dc + nc * da * db < da * db * dc
 
     def __str__(self) -> str:
         return f"({self.alpha},{self.beta},{self.gamma})"
@@ -100,10 +107,7 @@ def _build_from_inverse_squares(A: int, B: int, C: int, L: int) -> RatFunc:
 
 def build_triangular_R(p: TriangleParams) -> RatFunc:
     """The triangular coefficient function for parameter triple p."""
-    ia, ib, ic = p.inverses()
-    na, da = ia.numerator, ia.denominator
-    nb, db = ib.numerator, ib.denominator
-    nc, dc = ic.numerator, ic.denominator
+    (na, da), (nb, db), (nc, dc) = p.inverse_pairs()
     m = math.lcm(da, db, dc)
     # each inverse squared over the common denominator m^2
     A, B, C = (na * (m // da)) ** 2, (nb * (m // db)) ** 2, (nc * (m // dc)) ** 2

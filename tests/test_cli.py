@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 import time
 import tracemalloc
 
@@ -14,7 +15,13 @@ import triform.cli as cli
 import triform.kimura as kimura
 import triform.riccati as riccati
 from triform.cli import main
-from triform.parser import DivisionByZeroConstant, ExpressionTooLarge, ExprSyntaxError
+from triform.parser import (
+    MAX_DEPTH,
+    MAX_NESTING,
+    DivisionByZeroConstant,
+    ExpressionTooLarge,
+    ExprSyntaxError,
+)
 from triform.polynomials import NotSplitOverRationals, OutputTooLarge, Poly, RatFunc
 from triform.puiseux import ZeroLeadingCoefficient
 from triform.scalars import Q, ZeroParameter
@@ -229,6 +236,44 @@ class TestInputChecks:
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: bad --out value: [Errno ")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("missing/x.json", "[Errno 2] No such file or directory"),
+            (".", "[Errno 21] Is a directory"),
+            ("file/x.json", "[Errno 20] Not a directory"),
+            ("file/missing/x.json", "[Errno 20] Not a directory"),
+        ],
+    )
+    def test_out_is_checked_before_the_work(
+        self, target, message, json_flag, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the work ran")
+
+        monkeypatch.setattr(riccati, "cross_check", never)
+        monkeypatch.setattr(kimura, "hyperbolic_integer_triples", never)
+        (tmp_path / "file").write_text("kept\n")
+        path = tmp_path / target
+        code, text = run(["sweep", "--bound", "100", "--cross-check", "--out", str(path), *json_flag])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"error: bad --out value: {message}: '{path}'\n"
+        # the same text as open() gives, and nothing created or truncated
+        with pytest.raises(OSError) as exc:
+            open(path, "w", encoding="utf-8")
+        assert str(exc.value) == f"{message}: '{path}'"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    def test_out_check_truncates_nothing(self, tmp_path, capsys):
+        target = tmp_path / "kept.txt"
+        target.write_text("kept\n")
+        code, text = run(["sweep", "--bound", "1", "--out", str(target)])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: bad --bound value: bound must be at least 2\n"
+        assert target.read_text() == "kept\n"
+
     @pytest.mark.parametrize(
         "expr, normalized", [("y1+1", "y + 1"), ("١/(y+١)^2", "1/(y^2 + 2*y + 1)")]
     )
@@ -307,6 +352,72 @@ class TestInputChecks:
         code, text = run(["series-check", "--expr", expr])
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _frames() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+class TestShapeLimits:
+    """parser.MAX_NESTING and MAX_DEPTH: at each limit the input runs, one
+    past it exits 2 at the offset of the token that crossed it."""
+
+    NESTING = (MAX_NESTING, "parentheses and unary minus nest deeper than")
+    DEPTH = (MAX_DEPTH, "operators nest deeper than")
+    # shape -> (text at nesting or depth k, offset of the token that makes
+    # k, (limit, message))
+    SHAPES = {
+        "parentheses": (lambda k: "(" * k + "y" + ")" * k, lambda k: k - 1, NESTING),
+        "unary minus": (lambda k: "-" * k + "y", lambda k: k - 1, NESTING),
+        "sum": (lambda k: "+".join(["y"] * (k + 1)), lambda k: 2 * k - 1, DEPTH),
+        "product": (lambda k: "*".join(["y"] * (k + 1)), lambda k: 2 * k - 1, DEPTH),
+    }
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_at_the_limit_runs(self, shape, json_flag):
+        text, _, (limit, _) = self.SHAPES[shape]
+        code, out = run(["analyze", f"--expr={text(limit)}", *json_flag])
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_over_the_limit_exits_2(self, shape, json_flag, capsys):
+        text, offset, (limit, words) = self.SHAPES[shape]
+        code, out = run(["analyze", f"--expr={text(limit + 1)}", *json_flag])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: bad --expr value: at offset {offset(limit + 1)}: {words} the limit {limit}\n"
+        )
+
+    def test_siblings_do_not_nest(self):
+        # nesting counts enclosing parentheses and minus signs, not all of them
+        code, _ = run(["analyze", "--expr=" + "+".join(["(-y)"] * (MAX_NESTING + 1))])
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "expr", ["(" * 200 + "y" + ")" * 200, "+".join(["y"] * 1001), "*".join(["y"] * 1001)]
+    )
+    def test_inputs_that_ran_out_of_frames_exit_2(self, expr, capsys):
+        code, out = run(["analyze", f"--expr={expr}"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: bad --expr value: at offset ")
+
+    def test_the_deepest_accepted_input_leaves_the_caller_room(self):
+        # both limits at once: a sum of MAX_DEPTH operators inside
+        # MAX_NESTING parentheses; the limits' comment measures 515 frames
+        chain = "+".join(["y"] * (MAX_DEPTH + 1))
+        expr = "(" * MAX_NESTING + chain + ")" * MAX_NESTING
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frames() + 600)
+        try:
+            code, _ = run(["analyze", f"--expr={expr}", "--json"])
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 0
 
 
 class TestBoundedSearch:
@@ -416,6 +527,11 @@ class TestSweep:
         digest = "e5f851504b232fe0048bb4a4a3a2a921ab7128a54db8f6281c5684a92878da1b"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_bound_100_full_table_text_bytes_unchanged(self):
+        code, text = run(["sweep", "--bound", "100", "--full"])
+        digest = "89192ba90763ba7572e95ec427107b21bfaa4f141576013f5f6593d9c98e853a"
+        assert code == 0 and hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_bad_bound_exits_2(self, capsys):
         code, text = run(["sweep", "--bound", "1"])
         assert code == 2 and text == ""
@@ -469,6 +585,8 @@ class TestSweep:
         (30, True, False, "6de84affbd189bd88593d15707f49832b0a171ec347c6c18d12b32f987ab96ba"),
         (30, False, True, "d5273de34db149a72dea74a44f50006102b3362a8a3ec5922d9b57acfd41b0bd"),
         (30, True, True, "cfc3061b84505b83de01ac1964a666e624371a853a9e3ba454b74ae86e02bc2f"),
+        (100, False, False, "1a16ac9275a4262675d9f20483d063ceb0abdd2a1b3866ee3f3125dfea3d6ba8"),
+        (100, True, False, "84e9ebf53a7e12088ddbd4191a52b44a56faf56a882abaa7891da099be6ba60d"),
     ]
 
     @pytest.mark.parametrize(

@@ -225,7 +225,9 @@ class TestIntegerKernel:
             assert got == want
             # the inverses the enumeration hands over are the computed ones
             for p in got:
-                assert p.inverses() == TriangleParams(p.alpha, p.beta, p.gamma).inverses()
+                fresh = TriangleParams(p.alpha, p.beta, p.gamma)
+                assert p.inverses() == fresh.inverses()
+                assert p.inverse_pairs() == fresh.inverse_pairs()
 
     def test_odd_sum_matches_fraction_sums(self):
         fired = 0
@@ -249,3 +251,48 @@ class TestIntegerKernel:
         for x in xs + sorted(_TABLE_FRACTIONS):
             want = frozenset(f for f in (x % 1, (-x) % 1) if f in _TABLE_FRACTIONS)
             assert _RESIDUE_MATCHES.get(_residue(x), frozenset()) == want, x
+
+    # the condition-1 prefilter's edges: one table denominator among the
+    # inverses, exactly two, and a residue reached through a numerator 2
+    PREFILTER_EDGES = ("2,7,7", "2,3,7", "2,3,4", "2,2,9", "2,2,-9", "5/2,3,3", "5/2,7,7",
+                       "-5/2,5/3,inf", "2,inf,inf", "4/3,4,inf", "1/2,1/3,1/5")
+
+    def test_decision_matches_fraction_reference(self):
+        """decide_condition_ric on integer pairs against the Fraction
+        definitions, by outcome and witness."""
+        rng = random.Random(4404)
+
+        def slot():
+            r = rng.random()
+            if r < 0.1:
+                return INF
+            sign = rng.choice((1, -1))
+            if r < 0.3:  # 30-digit numerator and denominator
+                return ExtRational(Q(sign * rng.randint(1, 10**30), rng.randint(1, 10**30)))
+            if r < 0.45:  # an inverse with a 30-digit numerator over a table denominator
+                return ExtRational(Q(sign * rng.randint(2, 5), rng.randint(1, 10**30)))
+            return ExtRational(Q(sign * rng.randint(1, 12), rng.randint(1, 12)))
+
+        triples = [TriangleParams(slot(), slot(), slot()) for _ in range(3000)]
+        triples += [P(text) for text in self.PREFILTER_EDGES]
+        fired = 0
+        for p in triples:
+            # the references read inverses(), the view of the pairs: check it
+            slots = (p.alpha, p.beta, p.gamma)
+            assert p.inverses() == tuple(Q(0) if s.is_infinite else 1 / s.value for s in slots)
+            want = reference_condition_one(p) or reference_condition_two(p)
+            got = decide_condition_ric(p)
+            assert got.witness == want, str(p)
+            assert got.outcome == (CONDITION_RIC_HOLDS if want is None else ALGEBRAIC_SOLUTION_INDICATED)
+            fired += want is not None
+        assert fired > 100
+
+    def test_decision_builds_no_fractions(self, monkeypatch):
+        def no_fractions(self):
+            raise AssertionError("TriangleParams.inverses was called")
+
+        firing = [P(text) for text in ("2,3,4", "2,2,2", "1,1,1", "5/2,3,3")]
+        monkeypatch.setattr(TriangleParams, "inverses", no_fractions)
+        holds = [decide_condition_ric(p).holds for p in hyperbolic_integer_triples(30)]
+        assert len(holds) == 4924 and all(holds)
+        assert not any(decide_condition_ric(p).holds for p in firing)
