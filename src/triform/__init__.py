@@ -3,8 +3,8 @@
 Decides whether the Riccati equation attached to a triangular Schwarzian
 equation admits algebraic solutions (via the 15-row Kimura table and the
 odd-sum test), cross-checks the verdict with an exact rational-solution
-oracle, and mechanizes the Puiseux-series reduction that turns the verdict
-into the absence of order-two differential subvarieties.
+oracle, and evaluates the leading term of the Puiseux-series reduction that
+turns the verdict into the absence of order-two differential subvarieties.
 """
 
 from .scalars import INF, ExtRational, Q, Refused, ZeroParameter
@@ -32,13 +32,7 @@ from .riccati import (
     cross_check,
     rational_solutions,
 )
-from .puiseux import (
-    PuiseuxSeries,
-    SeriesContext,
-    derive,
-    leading_constraints,
-    residual,
-)
+from .puiseux import leading_constraints
 from .parser import parse_expr, parse_ratfunc, print_expr, to_ratfunc
 
 __version__ = "0.1.0"

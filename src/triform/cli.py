@@ -261,6 +261,15 @@ def cmd_sweep(args, out) -> int:
     return _emit(doc, args, out, 3 if fired or contradictions else 0)
 
 
+def render_w0(c: RatFunc, cutoff: int) -> str:
+    """The truncated series c*w^0 + O(w^cutoff), with c in parentheses when
+    its text has a slash or a space."""
+    text = c.render("y")
+    if "/" in text or " " in text:
+        text = f"({text})"
+    return f"{text} + O(w^({cutoff}))"
+
+
 def cmd_series_check(args, out) -> int:
     if args.truncation > 0:
         # a cutoff above 0 would drop the leading term a0 * w^0 itself
@@ -309,8 +318,7 @@ def cmd_series_check(args, out) -> int:
     }
     if report.constraint_residual is not None:
         # E(U) for U = a0 * w^0 + O(w^truncation) is the constraint at w^0
-        E = puiseux.PuiseuxSeries.from_ratfunc(report.constraint_residual, Q(args.truncation))
-        series["residual"] = E.render()
+        series["residual"] = render_w0(report.constraint_residual, args.truncation)
     doc = _document(
         echo, R, conclusion=report.describe(), citations=[CITATIONS["conclusion"]], series=series
     )

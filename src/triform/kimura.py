@@ -55,10 +55,12 @@ def _row(index, fracs, parity):
     return TableRow(index, slots, parity)
 
 
+# Schwarz's list (Schwarz 1873) as Kimura restates it: row 1 is the dihedral
+# family, rows 2-3 tetrahedral, 4-5 octahedral and 6-15 icosahedral.
 TABLE: Tuple[TableRow, ...] = (
     _row(1, ((1, 2), (1, 2), None), False),
-    _row(2, ((1, 2), (1, 2), (1, 2)), False),
-    _row(3, ((2, 3), (1, 3), (1, 4)), True),
+    _row(2, ((1, 2), (1, 3), (1, 3)), False),
+    _row(3, ((2, 3), (1, 3), (1, 3)), True),
     _row(4, ((1, 2), (1, 3), (1, 4)), False),
     _row(5, ((2, 3), (1, 4), (1, 4)), True),
     _row(6, ((1, 2), (1, 3), (1, 5)), False),

@@ -3,8 +3,21 @@
 These are written from the definitions, on RatFunc arithmetic alone, and
 are not used by the library: the Schwarzian derivative, the Schwarzian
 equation's solution test, composition and evaluation of rational functions,
-Moebius maps as functions and as matrices, and the half-Riccati residual.
+Moebius maps as functions and as matrices, the half-Riccati residual, the
+algebraic solvability of the triangular Riccati equation by its monodromy
+(Beukers and Heckman), and truncated Puiseux-series arithmetic in w = y' with the derivation D and the
+residual E(U) of the Schwarzian reduction (see `triform.puiseux`).
+
+A series is a finite sum  sum_i a_i(y) * w^{lambda_i}  with strictly
+descending rational exponents.  Exponents below the series cutoff are
+UNKNOWN, not zero; every operation propagates the cutoff so that no term is
+ever fabricated.  A cutoff of -inf (EXACT) means all omitted terms are
+genuinely zero.  Scalars in Q are killed by D.
 """
+
+import math
+from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 from triform.polynomials import Poly, RatFunc
 from triform.scalars import Q
@@ -81,3 +94,194 @@ def half_riccati_residual(a: RatFunc, R: RatFunc) -> RatFunc:
     """Residual of da/dy + (1/2)a^2 + R = 0; a solves this iff a/2 solves
     the Riccati equation with coefficient (1/2)R."""
     return a.derivative() + (a * a).scale(Q(1, 2)) + R
+
+
+def has_algebraic_solution(lam, mu, nu) -> bool:
+    """Does the Riccati equation with exponent differences lam, mu, nu (the
+    parameter inverses, 0 for infinity) have an algebraic solution?
+
+    It does exactly when the monodromy of the hypergeometric equation
+    2F1(a, b; c) with a = (1 - lam - mu - nu)/2, b = (1 - lam - mu + nu)/2
+    and c = 1 - lam is reducible or finite.  Reducible: one of a, b, a - c,
+    b - c is an integer, that is one of lam + mu + nu, -lam + mu + nu,
+    lam - mu + nu, lam + mu - nu is odd.  Finite, for an irreducible group
+    with rational parameters: for every k prime to the common denominator N,
+    {k*a, k*b} and {0, k*c} modulo 1 interlace on the circle (Beukers and
+    Heckman 1989, "Monodromy for the hypergeometric function nFn-1", Invent.
+    Math. 95, Theorem 4.8).  Used as the independent source of the table's
+    rows, which restate Schwarz's list.
+    """
+    lam, mu, nu = Q(lam), Q(mu), Q(nu)
+    a, b, c = (1 - lam - mu - nu) / 2, (1 - lam - mu + nu) / 2, 1 - lam
+    if any(t.denominator == 1 for t in (a, b, a - c, b - c)):
+        return True
+    N = math.lcm(a.denominator, b.denominator, c.denominator)
+    for k in range(1, N + 1):
+        if math.gcd(k, N) != 1:
+            continue
+        lo, hi = sorted((Q(0), (k * c) % 1))
+        alphas = ((k * a) % 1, (k * b) % 1)
+        if lo == hi or lo in alphas or hi in alphas:
+            return False
+        if sum(lo < x < hi for x in alphas) != 1:
+            return False
+    return True
+
+
+EXACT = float("-inf")  # cutoff sentinel: nothing is truncated
+
+
+class PuiseuxSeries:
+    __slots__ = ("terms", "cutoff")
+
+    def __init__(self, terms: Iterable[Tuple[object, RatFunc]], cutoff=EXACT):
+        # normalize any float -inf to the shared sentinel
+        cutoff = EXACT if cutoff == EXACT else Q(cutoff)
+        merged = {}
+        for exp, coeff in terms:
+            exp = exp if isinstance(exp, float) else Q(exp)
+            if exp < cutoff:
+                continue
+            if exp in merged:
+                merged[exp] = merged[exp] + coeff
+            else:
+                merged[exp] = coeff
+        items = [(e, c) for e, c in merged.items() if not c.is_zero]
+        items.sort(key=lambda t: t[0], reverse=True)
+        self.terms: Tuple[Tuple[object, RatFunc], ...] = tuple(items)
+        self.cutoff = cutoff
+
+    # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def monomial(coeff: RatFunc, exp, cutoff=EXACT) -> "PuiseuxSeries":
+        return PuiseuxSeries(((Q(exp), coeff),), cutoff)
+
+    @staticmethod
+    def from_ratfunc(r: RatFunc, cutoff=EXACT) -> "PuiseuxSeries":
+        """r(y) as the w^0 term."""
+        return PuiseuxSeries(((Q(0), r),), cutoff)
+
+    # -- structure -------------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, exp) -> RatFunc:
+        """Coefficient at the given exponent; raises below the cutoff."""
+        exp = Q(exp)
+        if exp < self.cutoff:
+            raise ValueError(f"exponent {exp} is below the cutoff {self.cutoff}")
+        for e, c in self.terms:
+            if e == exp:
+                return c
+        return RatFunc.zero()
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PuiseuxSeries)
+            and self.terms == other.terms
+            and self.cutoff == other.cutoff
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.cutoff))
+
+    # -- arithmetic ---------------------------------------------------------------
+
+    def _effective_leading(self):
+        """Leading exponent, or the cutoff when no term is known."""
+        return self.terms[0][0] if self.terms else self.cutoff
+
+    def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
+        cutoff = max(self.cutoff, other.cutoff)
+        return PuiseuxSeries(self.terms + other.terms, cutoff)
+
+    def __neg__(self) -> "PuiseuxSeries":
+        return PuiseuxSeries(((e, -c) for e, c in self.terms), self.cutoff)
+
+    def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
+        return self + (-other)
+
+    def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
+        lam = self._effective_leading()
+        mu = other._effective_leading()
+        if self.cutoff is EXACT and other.cutoff is EXACT:
+            cutoff = EXACT
+        else:
+            cutoff = max(lam + other.cutoff, mu + self.cutoff)
+        prods = [
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self.terms
+            for e2, c2 in other.terms
+        ]
+        return PuiseuxSeries(prods, cutoff)
+
+    def scale(self, coeff: RatFunc) -> "PuiseuxSeries":
+        return PuiseuxSeries(((e, c * coeff) for e, c in self.terms), self.cutoff)
+
+    def shift(self, delta) -> "PuiseuxSeries":
+        """Multiply by w^delta."""
+        delta = Q(delta)
+        cutoff = self.cutoff if self.cutoff is EXACT else self.cutoff + delta
+        return PuiseuxSeries(((e + delta, c) for e, c in self.terms), cutoff)
+
+    # -- display -------------------------------------------------------------------
+
+    def render(self) -> str:
+        if not self.terms:
+            body = "0"
+        else:
+            chunks = []
+            for e, c in self.terms:
+                ctext = c.render("y")
+                if "/" in ctext or " " in ctext:
+                    ctext = f"({ctext})"
+                if e == 0:
+                    chunks.append(ctext)
+                else:
+                    chunks.append(f"{ctext}*w^({e})")
+            body = " + ".join(chunks)
+        if self.cutoff is EXACT:
+            return body
+        return f"{body} + O(w^({self.cutoff}))"
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"PuiseuxSeries({self.render()!r})"
+
+
+@dataclass(frozen=True)
+class SeriesContext:
+    """Closure for the derivation: U stands for u = y''/y'^2, so y'' = U*w^2."""
+
+    U: PuiseuxSeries
+
+    def __post_init__(self):
+        if self.U.is_zero and self.U.cutoff is not EXACT:
+            raise ValueError("context series U has no known leading term")
+
+
+def derive(s: PuiseuxSeries, ctx: SeriesContext) -> PuiseuxSeries:
+    """D(s) = sum (da_i/dy) w^{l_i+1} + (sum l_i a_i w^{l_i}) * U * w."""
+    part1 = PuiseuxSeries(
+        ((e + 1, c.derivative()) for e, c in s.terms),
+        s.cutoff if s.cutoff is EXACT else s.cutoff + 1,
+    )
+    lowered = PuiseuxSeries(
+        ((e, c.scale(e)) for e, c in s.terms if e != 0), s.cutoff
+    )
+    part2 = lowered * ctx.U.shift(Q(1))
+    return part1 + part2
+
+
+def series_residual(U: PuiseuxSeries, R: RatFunc) -> PuiseuxSeries:
+    """E(U) = D(U)/w + (1/2) U^2 + R(y) * w^0, truncated."""
+    ctx = SeriesContext(U)
+    du = derive(U, ctx).shift(Q(-1))
+    usq = (U * U).scale(RatFunc.const(Q(1, 2)))
+    rterm = PuiseuxSeries.from_ratfunc(R)
+    return du + usq + rterm

@@ -21,7 +21,7 @@ from triform.kimura import (
 )
 from triform.parser import ExprSyntaxError, parse_expr, print_expr
 from triform.polynomials import Poly, RatFunc
-from triform.puiseux import PuiseuxSeries, leading_constraints, residual
+from triform.puiseux import leading_constraints
 from triform.riccati import (
     CONTRADICTION,
     RiccatiEq,
@@ -39,12 +39,14 @@ from triform.schwarzian import (
 
 from conftest import random_nonconstant_ratfunc, random_ratfunc
 from reference import (
+    PuiseuxSeries,
     check_solution,
     half_riccati_residual,
     is_moebius,
     moebius_apply,
     moebius_function,
     schwarzian_of,
+    series_residual,
     value,
 )
 from test_schwarzian import random_moebius
@@ -217,42 +219,54 @@ def test_criterion_6_round_trip_and_j_function():
 
 
 def test_criterion_7_puiseux_reduction():
+    """The closed form the library evaluates against E(U) derived from the
+    general truncated series."""
     rng = random.Random(77001)
-    cutoff = Q(-5)
-    # (a) w^0 extraction with random unknown-tail truncations
+    # (a) lambda0 = 0: the w^0 coefficient under random lower terms and cutoffs
     for _ in range(100):
         a0 = random_ratfunc(rng, 2, zero_ok=False)
         R = random_ratfunc(rng, 2)
+        cutoff = Q(-rng.randint(1, 16), 2)
         terms = [(Q(0), a0)]
         for _ in range(rng.randint(0, 3)):
             exp = Q(-rng.randint(1, 8), rng.randint(1, 2))
             if exp > cutoff:
                 terms.append((exp, random_ratfunc(rng, 1)))
-        U = PuiseuxSeries(terms, cutoff=cutoff)
-        E = residual(U, R)
+        E = series_residual(PuiseuxSeries(terms, cutoff=cutoff), R)
         assert E.cutoff < 0  # the w^0 coefficient is fully determined
-        assert E.coefficient(0) == half_riccati_residual(a0, R)
+        rep = leading_constraints(Q(0), a0, R)
+        assert E.coefficient(0) == rep.constraint_residual == half_riccati_residual(a0, R)
     # (b) leading balance for positive leading exponents
     for _ in range(50):
         lam = Q(rng.randint(1, 9), rng.randint(1, 3))
         a0 = random_ratfunc(rng, 2, zero_ok=False)
         R = random_ratfunc(rng, 1)
-        E = residual(PuiseuxSeries.monomial(a0, lam), R)
-        assert E.coefficient(2 * lam) == (a0 * a0).scale(lam + Q(1, 2))
+        E = series_residual(PuiseuxSeries.monomial(a0, lam), R)
         rep = leading_constraints(lam, a0, R)
-        assert rep.obstruction_coefficient == (a0 * a0).scale(lam + Q(1, 2))
-    # (c) the bridge on the (1, inf, inf) witness, both directions
+        assert E.coefficient(2 * lam) == rep.obstruction_coefficient == (a0 * a0).scale(lam + Q(1, 2))
+    # (c) lambda0 < 0, R = 0: the leading term of E(U) known at exponents >= lambda0
+    for i in range(50):
+        lam = -Q(rng.randint(1, 9), rng.randint(1, 3))
+        a0 = RatFunc.const(rng.randint(1, 5)) if i % 5 == 0 else random_ratfunc(rng, 2, zero_ok=False)
+        E = series_residual(PuiseuxSeries.monomial(a0, lam, lam), RatFunc.zero())
+        rep = leading_constraints(lam, a0, RatFunc.zero())
+        assert (E.terms[0] if E.terms else (None, None)) == (
+            rep.obstruction_exponent,
+            rep.obstruction_coefficient,
+        )
+    # (d) the bridge on the (1, inf, inf) witness, both directions
     R = build_triangular_R(TriangleParams.parse("1,inf,inf"))
     u = rf((Q(-1, 2), 1), (0, -1, 1))
     a0 = u.scale(Q(2))
     assert RiccatiEq(R).residual(u).is_zero
     assert half_riccati_residual(a0, R).is_zero
-    assert residual(PuiseuxSeries.monomial(a0, Q(0)), R).is_zero
+    assert series_residual(PuiseuxSeries.monomial(a0, Q(0)), R).is_zero
     rep = leading_constraints(Q(0), a0, R)
     assert rep.satisfied and rep.half_riccati_solution == u
     print(
-        "PASS criterion 7: w^0 extraction (100 tails), leading balance "
-        "(50 exponents), half-Riccati bridge both directions -- all exact"
+        "PASS criterion 7: w^0 extraction (100 tails and cutoffs), leading balance "
+        "(50 positive and 50 negative exponents), half-Riccati bridge both "
+        "directions -- closed form equals the reference series, all exact"
     )
 
 

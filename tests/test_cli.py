@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import pathlib
+import shlex
 import sys
 import time
 import tracemalloc
@@ -26,6 +28,8 @@ from triform.polynomials import NotSplitOverRationals, OutputTooLarge, Poly, Rat
 from triform.puiseux import ZeroLeadingCoefficient
 from triform.scalars import Q, ZeroParameter
 from triform.schwarzian import NotTriangular, SingularMoebius, TriangleParams
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 FIELD_ORDER = [
     "input",
@@ -114,6 +118,45 @@ class TestAnalyze:
     def test_missing_input_exits_2(self):
         code, _ = run(["analyze"])
         assert code == 2
+
+    FIRES = (
+        "witness fired but no rational solution: an algebraic solution of "
+        "degree >= 2 is possible (rational branch is exhaustive)"
+    )
+    NONE = "no witness and no rational solution"
+
+    @pytest.mark.parametrize(
+        "triangle, row, conclusion, note",
+        [
+            # exponent differences (1/2, 1/3, 1/3) and (2/3, 1/3, 1/3): Schwarz's
+            # rows 2 and 3, finite monodromy
+            ("2,3,3", 2, "AlgebraicSolutionIndicated", FIRES),
+            ("3/2,3,3", 3, "AlgebraicSolutionIndicated", FIRES),
+            # (2/3, 1/3, 1/4) is on no row: irreducible, infinite monodromy
+            ("3/2,3,4", None, "NoOrderTwoSubvarieties", NONE),
+        ],
+    )
+    def test_schwarz_rows_two_and_three(self, triangle, row, conclusion, note):
+        argv = ["analyze", "--triangle", triangle, "--oracle"]
+        code, doc = run_json(argv)
+        assert code == 0 and doc["conclusion"] == conclusion
+        witness = None if row is None else {
+            "condition": 1,
+            "row": row,
+            "permutation": [0, 1, 2],
+            "signs": [1, 1, 1],
+            "integers": [0, 0, 0],
+        }
+        outcome = "ConditionRicHolds" if row is None else conclusion
+        assert doc["kimura"] == {"outcome": outcome, "witness": witness}
+        assert doc["oracle"]["solutions"] == [] and doc["oracle"]["consistency"] == "CONSISTENT"
+        assert doc["oracle"]["note"] == note
+        code, text = run(argv)
+        lines = text.splitlines()
+        assert code == 0 and f"conclusion:  {conclusion}" in lines
+        assert f"kimura:      {outcome}" in lines
+        assert (f"witness:     {witness}" in lines) == (row is not None)
+        assert f"consistency: CONSISTENT ({note})" in lines
 
     def test_contradiction_exits_3(self, monkeypatch):
         real = riccati.cross_check(TriangleParams.parse("1,inf,inf"))
@@ -862,6 +905,18 @@ class TestSeriesCheck:
         assert run(argv)[0] == code
         want = f"error: bad --truncation value: {truncation} is above 0\n" if code else ""
         assert capsys.readouterr().err == want
+
+
+    def test_golden_output(self, capsys):
+        # tests/data/series_check.out: each "$ triform ARGS" line, then its
+        # stdout; one case per ConstraintReport.describe branch, text and --json
+        golden = (DATA / "series_check.out").read_text()
+        cases = golden.split("$ triform ")[1:]
+        assert len(cases) == 40
+        for case in cases:
+            command, want = case.split("\n", 1)
+            code, text = run(shlex.split(command))
+            assert (code, text, capsys.readouterr().err) == (0, want, ""), command
 
 
 class TestComputedOnce:

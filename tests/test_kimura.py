@@ -22,6 +22,8 @@ from triform.kimura import (
 from triform.scalars import INF, ExtRational, Q
 from triform.schwarzian import TriangleParams
 
+from reference import has_algebraic_solution
+
 P = TriangleParams.parse
 
 
@@ -31,10 +33,12 @@ class TestTableContent:
         assert [row.index for row in TABLE] == list(range(1, 16))
 
     def test_fractions_verbatim(self):
+        # Schwarz's list as Kimura restates it; the independent check of
+        # these rows is TestAgainstMonodromy (Beukers-Heckman)
         expected = {
             1: ((1, 2), (1, 2), None),
-            2: ((1, 2), (1, 2), (1, 2)),
-            3: ((2, 3), (1, 3), (1, 4)),
+            2: ((1, 2), (1, 3), (1, 3)),
+            3: ((2, 3), (1, 3), (1, 3)),
             4: ((1, 2), (1, 3), (1, 4)),
             5: ((2, 3), (1, 4), (1, 4)),
             6: ((1, 2), (1, 3), (1, 5)),
@@ -63,7 +67,7 @@ class TestTableContent:
 
 class TestWitnessExamples:
     def test_2_2_2_matches_lowest_row(self):
-        # both row 1 and row 2 match; the search reports the lowest row
+        # row 1, with the third slot arbitrary
         w = condition_one(P("2,2,2"))
         assert isinstance(w, LatticeWitness)
         assert w.row == 1
@@ -78,6 +82,23 @@ class TestWitnessExamples:
         w = condition_one(P("2,3,4"))
         assert w is not None and w.row == 4
         assert w.integers == (0, 0, 0)
+
+    def test_2_3_3_row_two(self):
+        # the tetrahedral triangle: finite monodromy
+        w = condition_one(P("2,3,3"))
+        assert w is not None and w.row == 2
+        assert w.integers == (0, 0, 0)
+
+    def test_3_2_3_3_row_three(self):
+        p = P("3/2,3,3")
+        w = condition_one(p)
+        assert w is not None and w.row == 3
+        assert verify_witness(p, w)
+
+    def test_3_2_3_4_holds(self):
+        # exponent differences (2/3, 1/3, 1/4) are not on Schwarz's list
+        v = decide_condition_ric(P("3/2,3,4"))
+        assert v.holds and v.witness is None
 
     def test_2_3_5_row_six(self):
         w = condition_one(P("2,3,5"))
@@ -207,6 +228,33 @@ def reference_condition_two(p):
         if s.denominator == 1 and s.numerator % 2:
             return OddSumWitness(signs, int(s))
     return None
+
+
+class TestAgainstMonodromy:
+    def test_decision_matches_beukers_heckman(self):
+        """The table and the odd sum against the monodromy criterion, on
+        inverses near the table's fractions and on random ones."""
+        rng = random.Random(1601)
+        near = sorted({Q(n, d) for d in range(1, 7) for n in range(d)})
+
+        def inverse():
+            r = rng.random()
+            if r < 0.1:
+                return Q(0)  # inf
+            sign = rng.choice((1, -1))
+            if r < 0.75:  # a table fraction, or a neighbour, plus an integer
+                return sign * (rng.randint(0, 3) + rng.choice(near))
+            return Q(sign * rng.randint(1, 120), rng.randint(1, 60))
+
+        rows = set()
+        for _ in range(20000):
+            xs = (inverse(), inverse(), inverse())
+            p = TriangleParams(*(INF if x == 0 else ExtRational(1 / x) for x in xs))
+            got = decide_condition_ric(p)
+            assert (not got.holds) == has_algebraic_solution(*xs), str(p)
+            if got.witness is not None and got.witness.condition == 1:
+                rows.add(got.witness.row)
+        assert rows == set(range(1, 16))
 
 
 class TestIntegerKernel:

@@ -1,23 +1,24 @@
-"""Truncated Puiseux-series layer and the leading-exponent reduction."""
+"""The leading-exponent reduction, its closed form checked against the
+reference truncated-series arithmetic, and that reference itself."""
 
 import pytest
 
+from triform.cli import render_w0
 from triform.polynomials import Poly, RatFunc
-from triform.puiseux import (
-    EXACT,
-    PuiseuxSeries,
-    SeriesContext,
-    ZeroLeadingCoefficient,
-    derive,
-    leading_constraints,
-    residual,
-)
+from triform.puiseux import ZeroLeadingCoefficient, leading_constraints, residual
 from triform.riccati import RiccatiEq
 from triform.scalars import Q
 from triform.schwarzian import TriangleParams, build_triangular_R
 
 from conftest import random_ratfunc
-from reference import half_riccati_residual
+from reference import (
+    EXACT,
+    PuiseuxSeries,
+    SeriesContext,
+    derive,
+    half_riccati_residual,
+    series_residual,
+)
 
 Y = RatFunc(Poly.variable())
 ONE = RatFunc.const(1)
@@ -130,28 +131,69 @@ class TestResidual:
         # Riccati solution u = (y - 1/2)/(y^2 - y); a0 = 2u
         a0 = rf((-1, 2), (0, -1, 1))
         assert half_riccati_residual(a0, R).is_zero
-        E = residual(mono(a0, 0), R)
+        E = series_residual(mono(a0, 0), R)
         assert E.is_zero
 
     def test_w0_coefficient_is_half_riccati_residual(self, rng):
         for _ in range(30):
             a0 = random_ratfunc(rng, 2, zero_ok=False)
             R = random_ratfunc(rng, 2)
-            E = residual(mono(a0, 0), R)
+            E = series_residual(mono(a0, 0), R)
             assert E.coefficient(0) == half_riccati_residual(a0, R)
 
     def test_positive_lambda_leading_balance(self):
         # U = a0 w^2: E(U) carries (2 + 1/2) a0^2 at w^4
         a0 = Y
-        E = residual(mono(a0, 2), RatFunc.zero())
+        E = series_residual(mono(a0, 2), RatFunc.zero())
         assert E.coefficient(4) == (a0 * a0).scale(Q(5, 2))
 
     def test_truncated_residual_reports_cutoff(self):
         R = build_triangular_R(TriangleParams.parse("2,3,7"))
         U = PuiseuxSeries([(Q(0), Y)], cutoff=Q(-5))
-        E = residual(U, R)
+        E = series_residual(U, R)
         assert E.cutoff == Q(-5)
         assert E.coefficient(0) == half_riccati_residual(Y, R)
+
+
+class TestClosedForm:
+    """What the library evaluates against the reference series."""
+
+    def test_residual_is_the_w0_coefficient(self, rng):
+        # U = a0 w^0 + random lower terms, cutoffs in [-8, -1/2]
+        for _ in range(60):
+            a0 = random_ratfunc(rng, 2, zero_ok=False)
+            R = random_ratfunc(rng, 2)
+            cutoff = Q(-rng.randint(1, 16), 2)
+            terms = [(Q(0), a0)]
+            for _ in range(rng.randint(0, 3)):
+                exp = Q(-rng.randint(1, 16), rng.randint(1, 3))
+                terms.append((exp, random_ratfunc(rng, 1)))
+            E = series_residual(PuiseuxSeries(terms, cutoff=cutoff), R)
+            want = E.coefficient(0)
+            assert residual(a0, R) == want
+            assert leading_constraints(Q(0), a0, R).constraint_residual == want
+
+    def test_negative_lambda_leading_term(self, rng):
+        # R = 0 and U = a0 w^lambda0 + O(w^lambda0): E(U)'s first known term
+        for i in range(60):
+            lam = -Q(rng.randint(1, 12), rng.randint(1, 4))
+            if i % 4 == 0:
+                a0 = RatFunc.const(Q(rng.choice((-3, 1, 2)), rng.randint(1, 3)))
+            else:
+                a0 = random_ratfunc(rng, 2, zero_ok=False)
+            E = series_residual(mono(a0, lam, lam), RatFunc.zero())
+            rep = leading_constraints(lam, a0, RatFunc.zero())
+            want = E.terms[0] if E.terms else (None, None)
+            assert (rep.obstruction_exponent, rep.obstruction_coefficient) == want
+            assert (want == (None, None)) == a0.derivative().is_zero
+
+    def test_render_w0_matches_series_render(self, rng):
+        cs = [RatFunc.zero(), ONE, RatFunc.const(-3), RatFunc.const(Q(5, 6)),
+              RatFunc.const(Q(-1, 2)), Y, -Y, Y + ONE, ONE / Y, rf((-1, 2), (0, -1, 1))]
+        cs += [random_ratfunc(rng, 2) for _ in range(20)]
+        for c in cs:
+            for t in range(-8, 1):
+                assert render_w0(c, t) == PuiseuxSeries.from_ratfunc(c, Q(t)).render()
 
 
 class TestLeadingConstraints:
