@@ -110,10 +110,10 @@ MAX_A0_WORK = 400_000
 # Declared limit of sweep's --bound, checked before the enumeration starts;
 # the triples grow as bound^3 / 6.  Measured at the limit, 1,353,194
 # triples, in a fresh process on a 2-core x86-64 with Python 3.11: the plain
-# sweep takes 4-5.5 s in 17 MiB, --cross-check 73-88 s in 16 MiB (past the 60 s
-# criterion 4 allows the bound-100 cross-check), and --full --json 18-22 s in
-# 1.2 GiB, for its 113 MB of output.  200 lets the plain sweep, the paper's
-# check, reach twice criterion 1's bound.
+# sweep takes 2.8-3.2 s in 17 MiB, --cross-check 73-88 s in 17 MiB (past the
+# 60 s criterion 4 allows the bound-100 cross-check), and --full 8-11 s in
+# text and 11-13 s with --json, for its 113 MB of output, in 19 MiB.  200
+# lets the plain sweep, the paper's check, reach twice criterion 1's bound.
 MAX_SWEEP_BOUND = 200
 
 
@@ -224,7 +224,8 @@ def cmd_sweep(args, out) -> int:
     if args.bound > MAX_SWEEP_BOUND:
         raise Refused(f"bad --bound value: {args.bound} is above the limit {MAX_SWEEP_BOUND}")
     statuses = dict.fromkeys((riccati.CONSISTENT, riccati.INCONCLUSIVE, riccati.CONTRADICTION), 0)
-    contradictions, table = [], []
+    contradictions = []
+    holds = bytearray()  # under --full, one byte per triple: verdict.holds
     total = fired = 0
     for p in kimura.hyperbolic_integer_triples(args.bound):
         if args.cross_check:
@@ -238,7 +239,7 @@ def cmd_sweep(args, out) -> int:
         total += 1
         fired += not verdict.holds
         if args.full:
-            table.append({"triangle": str(p), "outcome": verdict.outcome})
+            holds.append(verdict.holds)
     doc = _document(
         {"bound": args.bound}, None, hyperbolic=True,
         kimura={
@@ -256,9 +257,16 @@ def cmd_sweep(args, out) -> int:
         doc["input"]["degree_bound"] = args.degree_bound
         doc["oracle"] = {"statuses": statuses, "contradictions": contradictions}
         doc["citations"].insert(1, CITATIONS["liouvillian"])
-    if args.full:
-        doc["table"] = table
-    return _emit(doc, args, out, 3 if fired or contradictions else 0)
+    table = _table_rows(args.bound, holds) if args.full else None
+    return _emit(doc, args, out, 3 if fired or contradictions else 0, table)
+
+
+def _table_rows(bound: int, holds: bytearray):
+    """The --full table, (triangle, outcome) per triple: the enumerator runs
+    again for the texts, and each outcome is the one the deciding pass kept."""
+    outcomes = (ALGEBRAIC_SOLUTION_INDICATED, kimura.CONDITION_RIC_HOLDS)
+    for p, h in zip(kimura.hyperbolic_integer_triples(bound), holds, strict=True):
+        yield str(p), outcomes[h]
 
 
 def render_w0(c: RatFunc, cutoff: int) -> str:
@@ -368,71 +376,95 @@ def _check_out(path: str) -> None:
     raise Refused(f"bad --out value: {OSError(code, os.strerror(code), path)}")
 
 
-def _emit(doc: dict, args, out, code: int = 0) -> int:
-    """Write doc as JSON or text and return the exit code."""
-    if args.json:
-        text = json.dumps(doc, indent=2, sort_keys=False)
+def _emit(doc: dict, args, out, code: int = 0, table=None) -> int:
+    """Write doc as JSON or text and return the exit code.
+
+    A table, an iterable of (triangle, outcome) rows, is written row by row
+    as doc's trailing "table" field, in the bytes that json.dumps or _human
+    would give for doc holding the list of rows, without building either.
+    """
+    if not args.json:
+        chunks = (line + "\n" for line in _human(doc, table or ()))
+    elif table is None:
+        chunks = (json.dumps(doc, indent=2, sort_keys=False), "\n")
     else:
-        text = _human(doc)
+        chunks = _json_with_table(doc, table)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                for chunk in chunks:
+                    fh.write(chunk)
         except OSError as exc:
             raise Refused(f"bad --out value: {exc}") from exc
     else:
-        print(text, file=out)
+        for chunk in chunks:
+            out.write(chunk)
     return code
 
 
-def _human(doc: dict) -> str:
-    lines = []
-    lines.append(f"input:       {doc['input']}")
+def _json_with_table(doc: dict, table):
+    """json.dumps(doc, indent=2) of doc with its "table" list appended, in
+    pieces: the head, then one piece per row."""
+    head = json.dumps(doc, indent=2, sort_keys=False)
+    yield head[: -len("\n}")] + ',\n  "table": ['
+    sep = "\n"
+    for triangle, outcome in table:
+        yield (
+            f'{sep}    {{\n      "triangle": {json.dumps(triangle)},\n'
+            f'      "outcome": {json.dumps(outcome)}\n    }}'
+        )
+        sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
+
+
+def _human(doc: dict, table=()):
+    """The text form of doc, line by line; table rows (triangle, outcome)
+    go between the conclusion and the citations."""
+    yield f"input:       {doc['input']}"
     if doc.get("normalized"):
-        lines.append(f"R(y)       = {doc['normalized']}")
+        yield f"R(y)       = {doc['normalized']}"
     tri = doc.get("triangular")
     if tri is not None:
         if tri["recognized"]:
-            lines.append(
+            yield (
                 "triangular:  yes, inverse squares "
                 + str(tuple(tri["inverse_squares"]))
                 + ", parameters up to sign "
                 + str(tuple(tri["params_up_to_sign"]))
             )
         else:
-            lines.append(f"triangular:  no ({tri['reason']})")
+            yield f"triangular:  no ({tri['reason']})"
     if doc.get("hyperbolic") is not None:
-        lines.append(f"hyperbolic:  {'yes' if doc['hyperbolic'] else 'no'}")
+        yield f"hyperbolic:  {'yes' if doc['hyperbolic'] else 'no'}"
     kim = doc.get("kimura")
     if kim is not None:
-        lines.append(f"kimura:      {kim['outcome']}")
+        yield f"kimura:      {kim['outcome']}"
         if kim["witness"] is not None:
-            lines.append(f"witness:     {kim['witness']}")
+            yield f"witness:     {kim['witness']}"
     orc = doc.get("oracle")
     if orc is not None and "statuses" in orc:
         counts = ", ".join(f"{n} {s}" for s, n in orc["statuses"].items())
-        lines.append(f"oracle:      {counts}")
+        yield f"oracle:      {counts}"
         if orc["contradictions"]:
-            lines.append(f"contradicted: {', '.join(orc['contradictions'])}")
+            yield f"contradicted: {', '.join(orc['contradictions'])}"
     elif orc is not None:
         sols = orc.get("solutions", [])
-        lines.append(
+        yield (
             f"oracle:      {len(sols)} rational solution(s)"
             + (f": u = {'; u = '.join(sols)}" if sols else "")
         )
         if orc.get("consistency"):
-            lines.append(f"consistency: {orc['consistency']} ({orc['note']})")
+            yield f"consistency: {orc['consistency']} ({orc['note']})"
     ser = doc.get("series")
     if ser is not None:
-        lines.append(f"lambda0:     {ser['lambda0']}")
+        yield f"lambda0:     {ser['lambda0']}"
         if ser.get("residual") is not None:
-            lines.append(f"residual:    {ser['residual']}")
-    lines.append(f"conclusion:  {doc['conclusion']}")
-    for row in doc.get("table", []):
-        lines.append(f"  {row['triangle']}: {row['outcome']}")
+            yield f"residual:    {ser['residual']}"
+    yield f"conclusion:  {doc['conclusion']}"
+    for triangle, outcome in table:
+        yield f"  {triangle}: {outcome}"
     for c in doc.get("citations", []):
-        lines.append(f"             [{c}]")
-    return "\n".join(lines)
+        yield f"             [{c}]"
 
 
 def _add_common(sub, with_input=True):

@@ -20,6 +20,17 @@ The decision runs on integer pairs: each x_i is read once as the reduced
 pair (n, d) that TriangleParams.inverse_pairs keeps, its residue modulo Z
 is (n % d, d), and the sums are taken over the lcm of the denominators.
 Only verify_witness, the independent replay, works on Fraction values.
+
+Two gates on the reduced denominators d0, d1, d2 settle most triples before
+any search:
+
+  condition 1 is searched only when at least two d_i are denominators of
+  the table's fractions (every row fixes two slots, and a slot holding q
+  matches only an x with the denominator of q);
+  condition 2 is tried only when each d_i divides the product of the other
+  two.  If +-x0 + x1 + x2 = s is an integer, then +-x0 = s - x1 - x2 has a
+  denominator dividing lcm(d1, d2), hence d1 * d2, and as n0/d0 is reduced,
+  d0 divides d1 * d2; likewise for each index.  An infinite slot is (0, 1).
 """
 
 from __future__ import annotations
@@ -121,7 +132,7 @@ _TABLE_FRACTIONS = frozenset(q for row in TABLE for q in row.slots if q is not N
 
 # Every row fixes at least two slots, and a slot holding q matches only an
 # x whose denominator is that of q: condition 1 needs two inverses with a
-# denominator from this set.
+# denominator from this set (the gate in decide_condition_ric).
 _TABLE_DENOMINATORS = frozenset(q.denominator for q in _TABLE_FRACTIONS)
 
 
@@ -169,9 +180,6 @@ def _condition_one(pairs: _Pairs) -> Optional[LatticeWitness]:
     order, restricted to the signs under which each slot matches.
     """
     (n0, d0), (n1, d1), (n2, d2) = pairs
-    dens = _TABLE_DENOMINATORS
-    if (d0 in dens) + (d1 in dens) + (d2 in dens) < 2:
-        return None
     residues = ((n0 % d0, d0), (n1 % d1, d1), (n2 % d2, d2))
     get = _RESIDUE_MATCHES.get
     matched = get(residues[0], _NO_MATCH) | get(residues[1], _NO_MATCH) | get(residues[2], _NO_MATCH)
@@ -270,10 +278,20 @@ def decide_condition_ric(p: TriangleParams) -> KimuraVerdict:
     """Full decision: condition 1 first, then condition 2.
 
     CONDITION_RIC_HOLDS is returned only after the exhaustive search over
-    all 720 table assignments and all four sums found nothing.
+    all 720 table assignments and all four sums found nothing, or after a
+    denominator gate (see the module docstring) showed that a search could
+    find nothing.
     """
     pairs = p.inverse_pairs()
-    w = _condition_one(pairs) or _condition_two(pairs)
+    (_, d0), (_, d1), (_, d2) = pairs
+    dens = _TABLE_DENOMINATORS
+    if (d0 in dens) + (d1 in dens) + (d2 in dens) >= 2:
+        w = _condition_one(pairs)
+        if w is not None:
+            return KimuraVerdict(ALGEBRAIC_SOLUTION_INDICATED, w)
+    if d0 * d1 % d2 or d0 * d2 % d1 or d1 * d2 % d0:
+        return _HOLDS
+    w = _condition_two(pairs)
     if w is None:
         return _HOLDS
     return KimuraVerdict(ALGEBRAIC_SOLUTION_INDICATED, w)

@@ -617,6 +617,50 @@ class TestSweep:
         assert code == 0
         assert peak < 1 << 20, f"traced peak {peak} bytes"
 
+    def test_full_sweep_memory_stays_flat(self):
+        # the --full table is written row by row from one outcome byte per
+        # triple, not held as row dicts and JSON chunks; the output goes to a
+        # hashing sink, so the traced peak is the sweep's own
+        class HashingSink:
+            def __init__(self):
+                self.sha = hashlib.sha256()
+
+            def write(self, text):
+                self.sha.update(text.encode())
+
+        sink = HashingSink()
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--bound", "40", "--full", "--json"], out=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        digest = "42bd046af85a399b441b9d763e8da923ebaa553eca0f698b1d4b799ef908eeea"
+        assert sink.sha.hexdigest() == digest
+        assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+    def test_full_table_shows_the_outcomes_of_the_deciding_pass(self, monkeypatch):
+        # each triple is decided once; the table's second enumeration only
+        # names the triples, so a verdict that would differ on a second call
+        # cannot reach the table
+        fired = kimura.ALGEBRAIC_SOLUTION_INDICATED
+        real = kimura.decide_condition_ric
+        decided = []
+
+        def second_fires(p):
+            decided.append(str(p))
+            return kimura.KimuraVerdict(fired) if len(decided) == 2 else real(p)
+
+        monkeypatch.setattr(kimura, "decide_condition_ric", second_fires)
+        code, text = run(["sweep", "--bound", "5", "--full"])
+        assert code == 3 and len(decided) == 25
+        assert f"\n  {decided[1]}: {fired}\n" in text and text.count(fired) == 2
+        decided.clear()
+        code, doc = run_json(["sweep", "--bound", "5", "--full"])
+        assert code == 3 and len(decided) == 25
+        assert [row["triangle"] for row in doc["table"] if row["outcome"] == fired] == [decided[1]]
+
     # sha256 of `sweep --bound B --json [--full] [--cross-check]`; a plain
     # row keeps the id bound-full-digest it had before the cross-check rows
     SWEEP_DIGESTS = [

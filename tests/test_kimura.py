@@ -1,8 +1,10 @@
 """Classification-table decision procedure and witnesses."""
 
 import itertools
+import math
 import random
 
+import triform.kimura as kimura
 from triform.kimura import (
     ALGEBRAIC_SOLUTION_INDICATED,
     ASSIGNMENT_COUNT,
@@ -301,9 +303,15 @@ class TestIntegerKernel:
             assert _RESIDUE_MATCHES.get(_residue(x), frozenset()) == want, x
 
     # the condition-1 prefilter's edges: one table denominator among the
-    # inverses, exactly two, and a residue reached through a numerator 2
+    # inverses, exactly two, and a residue reached through a numerator 2;
+    # then the condition-2 gate's: triples whose denominators each divide
+    # the product of the other two and that fire condition 2 (2,3,6 through
+    # 1/2 + 1/3 + 1/6 = 1, -2,3,6 through signs (-1, 1, 1)), one whose sums
+    # reach only an even integer (-1/4 + 1/6 + 1/12 = 0), and 2,2,inf, which
+    # passes both gates and must report row 1 before its odd sum
     PREFILTER_EDGES = ("2,7,7", "2,3,7", "2,3,4", "2,2,9", "2,2,-9", "5/2,3,3", "5/2,7,7",
-                       "-5/2,5/3,inf", "2,inf,inf", "4/3,4,inf", "1/2,1/3,1/5")
+                       "-5/2,5/3,inf", "2,inf,inf", "4/3,4,inf", "1/2,1/3,1/5",
+                       "2,3,6", "2,4,4", "1,1,1", "-2,3,6", "3/2,3,inf", "4,6,12", "2,2,inf")
 
     def test_decision_matches_fraction_reference(self):
         """decide_condition_ric on integer pairs against the Fraction
@@ -344,3 +352,30 @@ class TestIntegerKernel:
         holds = [decide_condition_ric(p).holds for p in hyperbolic_integer_triples(30)]
         assert len(holds) == 4924 and all(holds)
         assert not any(decide_condition_ric(p).holds for p in firing)
+
+    def test_searches_run_only_past_their_gates(self, monkeypatch):
+        """Each search is called only for the triples whose denominators pass
+        its gate, counted here from the integer entries: condition 1 needs two
+        table denominators, condition 2 each denominator dividing the product
+        of the other two (1/inf has denominator 1)."""
+        calls = {"one": 0, "two": 0}
+
+        def counting(name, search):
+            def wrapper(pairs):
+                calls[name] += 1
+                return search(pairs)
+            return wrapper
+
+        monkeypatch.setattr(kimura, "_condition_one", counting("one", kimura._condition_one))
+        monkeypatch.setattr(kimura, "_condition_two", counting("two", kimura._condition_two))
+        triples = list(hyperbolic_integer_triples(30))
+        assert all(decide_condition_ric(p).holds for p in triples)
+
+        table_dens = {q.denominator for row in TABLE for q in row.slots if q is not None}
+        gate_one = gate_two = 0
+        for p in triples:
+            dens = [1 if s.is_infinite else int(s.value) for s in (p.alpha, p.beta, p.gamma)]
+            gate_one += sum(d in table_dens for d in dens) >= 2
+            gate_two += all(math.prod(dens) // d % d == 0 for d in dens)
+        assert calls == {"one": gate_one, "two": gate_two}
+        assert 0 < gate_one < len(triples) and 0 < gate_two < len(triples)
