@@ -111,8 +111,8 @@ MAX_A0_WORK = 400_000
 # the triples grow as bound^3 / 6.  Measured at the limit, 1,353,194
 # triples, in a fresh process on a 2-core x86-64 with Python 3.11: the plain
 # sweep takes 2.8-3.2 s in 17 MiB, --cross-check 73-88 s in 17 MiB (past the
-# 60 s criterion 4 allows the bound-100 cross-check), and --full 8-11 s in
-# text and 11-13 s with --json, for its 113 MB of output, in 19 MiB.  200
+# 60 s criterion 4 allows the bound-100 cross-check), and --full 4.7-4.8 s
+# in text and 7.7-8.5 s with --json, for its 113 MB of output, in 18 MiB.  200
 # lets the plain sweep, the paper's check, reach twice criterion 1's bound.
 MAX_SWEEP_BOUND = 200
 
@@ -263,10 +263,14 @@ def cmd_sweep(args, out) -> int:
 
 def _table_rows(bound: int, holds: bytearray):
     """The --full table, (triangle, outcome) per triple: the enumerator runs
-    again for the texts, and each outcome is the one the deciding pass kept."""
+    again for the texts, and each outcome is the one the deciding pass kept.
+    A triple is named, as str(p) names it, from the inverse pairs the
+    enumerator holds: (1, n) for the integer n and (0, 1) for inf."""
     outcomes = (ALGEBRAIC_SOLUTION_INDICATED, kimura.CONDITION_RIC_HOLDS)
+    slot = ["", "inf"] + [str(n) for n in range(2, bound + 1)]  # by denominator
     for p, h in zip(kimura.hyperbolic_integer_triples(bound), holds, strict=True):
-        yield str(p), outcomes[h]
+        (_, a), (_, b), (_, c) = p.inverse_pairs()
+        yield f"({slot[a]},{slot[b]},{slot[c]})", outcomes[h]
 
 
 def render_w0(c: RatFunc, cutoff: int) -> str:

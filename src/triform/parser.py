@@ -9,11 +9,16 @@ Grammar (no implicit multiplication, no negative literal exponents):
     atom    := INT | NAME | '(' expr ')'
 
 INT is a run of decimal digits (str.isdecimal); NAME is a letter or '_'
-followed by letters, decimal digits or '_'.
+followed by letters, decimal digits or '_'; whitespace is str.isspace.
 
-Diagnostics carry the byte offset and the expected-token set.  The printer
-emits a canonical form whose reparse is structurally identical to the
-original AST, and printing a freshly parsed canonical form is a fixed
+One parser reads the tokens, three parallel lists, by precedence climbing.
+parse_expr has it build the AST; parse_ratfunc has it build each node's
+lowered value in its place, and lowers again from the AST, which names the
+node in the message, only when a size check fails, a divisor is zero or
+two names occur.  Errors come in one order: syntax and shape, mixed names,
+then the first failing node in post-order.  Diagnostics carry the
+character offset and the expected-token set.  The printer's canonical form
+reparses to the same AST, and printing a parsed canonical form is a fixed
 point.
 """
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Tuple, Union
 
 from .polynomials import Poly, RatFunc, height, int_poly
@@ -82,192 +88,165 @@ ExprAST = Union[Num, Var, Neg, BinOp, Pow]
 
 # -- lexer ---------------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+_OPS = frozenset("+-*/^()")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'INT', 'NAME', one of _OPS, 'EOF'
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens = []
-    i = 0
-    n = len(text)
+def _tokenize(text: str) -> Tuple[List[str], List[str], List[int]]:
+    """The kind, text and offset of each token, as three parallel lists; a
+    kind is 'INT', 'NAME', 'EOF' or the operator character itself."""
+    kinds, words, offsets = [], [], []
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
+        j = i + 1
+        if ch in _OPS:
+            kind = ch
         # isdecimal is what int() accepts; isdigit and isalnum also hold for
         # superscripts such as '²', which must not read as part of a name
-        if ch.isdecimal():
-            j = i
+        elif ch.isdecimal():
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            kind = "INT"
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("NAME", text[i:j], i))
+            kind = "NAME"
+        elif ch.isspace():
             i = j
             continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(i, ("a digit", "a name", "an operator"), repr(ch))
-    tokens.append(_Token("EOF", "", n))
-    return tokens
-
-
-def _int(tok: _Token) -> int:
-    try:
-        return int(tok.text)
-    except ValueError as exc:  # more digits than int() reads
-        raise ExpressionTooLarge(f"at offset {tok.pos}: {exc}") from exc
+        else:
+            raise ExprSyntaxError(i, ("a digit", "a name", "an operator"), repr(ch))
+        kinds.append(kind)
+        words.append(text[i:j])
+        offsets.append(i)
+        i = j
+    return kinds + ["EOF"], words + [""], offsets + [n]
 
 
 # -- parser ---------------------------------------------------------------------
 
 
 # Declared limits of an expression's shape (exit 2 in the CLI), checked as
-# the parser reads it, before the recursion they bound.  The parser
-# recurses five frames deep per parenthesis and one per unary minus, which
-# MAX_NESTING counts together; lowering and printing recurse one frame per
-# operator on a path from the root, which MAX_DEPTH counts (a sum y+y+...+y
-# of k terms has k - 1).  Measured on Python 3.11, counted from the caller of
-# cli.main: MAX_NESTING parentheses around y, and a sum of MAX_DEPTH + 1
-# terms inside them, need 515 of the default 1,000 frames, so the caller
-# keeps 485.  Without the limits, 200 parentheses or a 1,001-term sum ran
-# out of frames.
+# the parser reads it: MAX_NESTING parentheses and unary minus signs around
+# a token, and MAX_DEPTH operators on a path from the root (a sum y+...+y
+# of k terms has k - 1).  The parser recurses at most three frames per
+# parenthesis and none per minus; lowering an AST and printing one recurse
+# a frame per operator on a path.  Measured on Python 3.11 from the caller
+# of cli.main: a sum of MAX_DEPTH + 1 terms in MAX_NESTING parentheses
+# needs 212 of the default 1,000 frames, and 512 when its root fails a
+# size check and is lowered and printed from the AST, so the caller keeps
+# 488.  Lowered from its AST, a 1,001-term sum would run out of frames.
 MAX_NESTING = 100
 MAX_DEPTH = 500
 
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}  # binding powers, all left-associative
+_OPERAND = ("an integer", "a name", "'('", "'-'")
+_END = ("'+'", "'-'", "'*'", "'/'", "'^'", "end of input")
 
-class _Parser:
-    """Recursive descent; each method returns (node, depth), depth being
-    the number of operators on the longest path from node to a leaf."""
 
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.nesting = 0
+def _parse(text: str, build: tuple) -> tuple:
+    """What build, the five makers (num, var, neg, power, binop) with the
+    arities of Num, Var, Neg, Pow and BinOp, makes of text's root, and the
+    set of its names.  Precedence climbing (Pratt 1973): binary(i, level)
+    reads an operand from token i, then each operator binding at least as
+    tightly as level with a right operand binding tighter.  Both return
+    (node, depth, next token); depth counts operators to the deepest leaf."""
+    kinds, words, offsets = _tokenize(text)
+    num, var, neg, power, binop = build
+    names = set()
+    nesting = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+    def fail(i: int, expected: Tuple[str, ...]):
+        found = "end of input" if kinds[i] == "EOF" else repr(words[i])
+        raise ExprSyntaxError(offsets[i], expected, found)
 
-    def _fail(self, expected: Tuple[str, ...]):
-        tok = self.cur
-        found = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        raise ExprSyntaxError(tok.pos, expected, found)
+    def nest(i: int) -> None:
+        """Enter the parenthesis or unary minus at token i."""
+        nonlocal nesting
+        nesting += 1
+        if nesting > MAX_NESTING:
+            what = "parentheses and unary minus nest deeper than the limit"
+            raise ExpressionTooLarge(f"at offset {offsets[i]}: {what} {MAX_NESTING}")
 
-    def _eat(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            self._fail((f"'{kind}'",))
-        tok = self.cur
-        self.i += 1
-        return tok
-
-    def _nest(self, tok: _Token) -> None:
-        """Enter a parenthesis or a unary minus at tok, before recursing."""
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            raise ExpressionTooLarge(
-                f"at offset {tok.pos}: parentheses and unary minus nest deeper than "
-                f"the limit {MAX_NESTING}"
-            )
-
-    @staticmethod
-    def _depth(tok: _Token, depth: int) -> int:
-        """depth + 1 for the operator at tok, checked against MAX_DEPTH."""
+    def deeper(i: int, depth: int) -> int:
+        """depth + 1 for the operator at token i, checked against MAX_DEPTH."""
         if depth >= MAX_DEPTH:
-            raise ExpressionTooLarge(
-                f"at offset {tok.pos}: operators nest deeper than the limit {MAX_DEPTH}"
-            )
+            what = "operators nest deeper than the limit"
+            raise ExpressionTooLarge(f"at offset {offsets[i]}: {what} {MAX_DEPTH}")
         return depth + 1
 
-    def parse(self) -> ExprAST:
-        node, _ = self.expr()
-        if self.cur.kind != "EOF":
-            self._fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
-        return node
+    def number(i: int) -> int:
+        try:
+            return int(words[i])
+        except ValueError as exc:  # more digits than int() reads
+            raise ExpressionTooLarge(f"at offset {offsets[i]}: {exc}") from exc
 
-    def expr(self) -> Tuple[ExprAST, int]:
-        node, depth = self.term()
-        while self.cur.kind in ("+", "-"):
-            tok = self._eat(self.cur.kind)
-            right, right_depth = self.term()
-            node, depth = BinOp(tok.kind, node, right), self._depth(tok, max(depth, right_depth))
-        return node, depth
+    def unary(i: int) -> tuple:
+        """'-'* (INT | NAME | '(' expr ')') ('^' INT)?"""
+        nonlocal nesting
+        first = i
+        while kinds[i] == "-":
+            nest(i)
+            i += 1
+        minus, kind = i, kinds[i]
+        if kind == "INT":
+            node, depth = num(number(i)), 0
+        elif kind == "NAME":
+            node, depth = var(words[i]), 0
+            names.add(words[i])
+        elif kind == "(":
+            nest(i)
+            node, depth, i = binary(i + 1, 1)
+            if kinds[i] != ")":
+                fail(i, ("')'",))
+            nesting -= 1
+        else:
+            fail(i, _OPERAND)
+        i += 1
+        if kinds[i] == "^":
+            if kinds[i + 1] != "INT":
+                fail(i + 1, ("a nonnegative integer exponent",))
+            node, depth = power(node, number(i + 1)), deeper(i, depth)
+            i += 2
+        while minus > first:  # the innermost minus first
+            minus -= 1
+            nesting -= 1
+            node, depth = neg(node), deeper(minus, depth)
+        return node, depth, i
 
-    def term(self) -> Tuple[ExprAST, int]:
-        node, depth = self.unary()
-        while self.cur.kind in ("*", "/"):
-            tok = self._eat(self.cur.kind)
-            right, right_depth = self.unary()
-            node, depth = BinOp(tok.kind, node, right), self._depth(tok, max(depth, right_depth))
-        return node, depth
+    def binary(i: int, level: int) -> tuple:
+        node, depth, i = unary(i)
+        while (binding := _BINARY.get(kinds[i], 0)) >= level:
+            op = kinds[i]
+            right, right_depth, j = unary(i + 1) if binding == 2 else binary(i + 1, binding + 1)
+            node, depth = binop(op, node, right), deeper(i, max(depth, right_depth))
+            i = j
+        return node, depth, i
 
-    def unary(self) -> Tuple[ExprAST, int]:
-        if self.cur.kind == "-":
-            tok = self._eat("-")
-            self._nest(tok)
-            operand, depth = self.unary()
-            self.nesting -= 1
-            return Neg(operand), self._depth(tok, depth)
-        return self.power()
-
-    def power(self) -> Tuple[ExprAST, int]:
-        base, depth = self.atom()
-        if self.cur.kind == "^":
-            tok = self._eat("^")
-            if self.cur.kind != "INT":
-                self._fail(("a nonnegative integer exponent",))
-            return Pow(base, _int(self._eat("INT"))), self._depth(tok, depth)
-        return base, depth
-
-    def atom(self) -> Tuple[ExprAST, int]:
-        tok = self.cur
-        if tok.kind == "INT":
-            return Num(_int(self._eat("INT"))), 0
-        if tok.kind == "NAME":
-            self._eat("NAME")
-            return Var(tok.text), 0
-        if tok.kind == "(":
-            self._nest(self._eat("("))
-            node = self.expr()
-            self._eat(")")
-            self.nesting -= 1
-            return node
-        self._fail(("an integer", "a name", "'('", "'-'"))
+    node, _, i = binary(0, 1)
+    if kinds[i] != "EOF":
+        fail(i, _END)
+    return node, names
 
 
 def parse_expr(text: str) -> ExprAST:
     """Parse a rational expression; raises ExprSyntaxError with position."""
-    return _Parser(_tokenize(text)).parse()
+    return _parse(text, (Num, Var, Neg, Pow, BinOp))[0]
 
 
 # -- printer -------------------------------------------------------------------
 
 # precedence levels for minimal parenthesization
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, Neg: 3, Pow: 4, Num: 5, Var: 5}
 
 
 def _prec(node: ExprAST) -> int:
-    if isinstance(node, (Num, Var)):
-        return _PREC["atom"]
-    if isinstance(node, Pow):
-        return _PREC["^"]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _PREC[node.op]
+    return _PREC[node.op] if type(node) is BinOp else _PREC[type(node)]
+
+
+def _wrap(text: str, node: ExprAST, level: int) -> str:
+    """The text of node, in parentheses if it binds looser than level."""
+    return f"({text})" if _prec(node) < level else text
 
 
 def print_expr(node: ExprAST) -> str:
@@ -277,25 +256,14 @@ def print_expr(node: ExprAST) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        inner = print_expr(node.operand)
-        if _prec(node.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return "-" + _wrap(print_expr(node.operand), node.operand, _PREC[Neg])
     if isinstance(node, Pow):
-        base = print_expr(node.base)
         # bases below atom precedence need parens so '^' binds to them whole
-        if _prec(node.base) < _PREC["atom"]:
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    left = print_expr(node.left)
-    right = print_expr(node.right)
+        return f"{_wrap(print_expr(node.base), node.base, _PREC[Num])}^{node.exponent}"
     p = _PREC[node.op]
-    if _prec(node.left) < p:
-        left = f"({left})"
+    left = _wrap(print_expr(node.left), node.left, p)
     # left-associative grammar: the right operand needs parens at equal level
-    if _prec(node.right) <= p:
-        right = f"({right})"
-    return f"{left} {node.op} {right}"
+    return f"{left} {node.op} {_wrap(print_expr(node.right), node.right, p + 1)}"
 
 
 # -- lowering --------------------------------------------------------------------
@@ -308,60 +276,95 @@ MAX_DEGREE = 1000
 # A polynomial subtree lowers to a Poly, and a RatFunc is built only once a
 # non-constant divisor appears.  A Poly p has the value of the RatFunc p/1,
 # with the same lengths and height, so the size checks read the same
-# numbers in the same node order as on a RatFunc for every node.
+# numbers in the same node order as on a RatFunc for every node.  The
+# lowering functions take the node only to name it in a message: None when
+# lowering in the parser's place.
 _X, _ONE = Poly.variable(), Poly.one()
 _Lowered = Union[Poly, RatFunc]
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_LIMIT = 1 << MAX_BITS  # past MAX_BITS bits: the integers >= _LIMIT or <= -_LIMIT
 
 
-def _check(node: ExprAST, what: str, value: int, limit: int) -> None:
+class _Unnamed(Exception):
+    """A lowering error at a node the parser did not build."""
+
+
+def _text(node) -> str:
+    if node is None:
+        raise _Unnamed
+    return print_expr(node)
+
+
+def _check(node, what: str, value: int, limit: int) -> None:
     if value > limit:
-        text = print_expr(node)
-        raise ExpressionTooLarge(f"{text} may reach {what} {value}, above the limit {limit}")
-
-
-def _terms(f: _Lowered) -> Tuple[Poly, Poly]:
-    """(numerator, denominator) of a lowered value."""
-    return (f, _ONE) if type(f) is Poly else (f.num, f.den)
+        raise ExpressionTooLarge(f"{_text(node)} may reach {what} {value}, above the limit {limit}")
 
 
 def _as_ratfunc(f: _Lowered) -> RatFunc:
     return RatFunc._raw(f, _ONE) if type(f) is Poly else f
 
 
-def _lower_pow(node: Pow, base: _Lowered) -> _Lowered:
+def _lower_num(node, value: int) -> Poly:
+    if value.bit_length() > MAX_BITS:
+        _check(node, "integer bits", value.bit_length(), MAX_BITS)
+    return int_poly([value], 1)
+
+
+def _lower_pow(node, base: _Lowered, e: int) -> _Lowered:
     """Checked before expanding: the integers of P**e, for an integer P of
     degree <= k and height <= h, are at most ((k + 1) * h)**e."""
-    num, den = _terms(base)
-    k, e = max(num.degree, den.degree, 0), node.exponent
+    if base is _X:  # k = h = 1: e bits, which the degree limit keeps under MAX_BITS
+        _check(node, "degree", e, MAX_DEGREE)
+        return int_poly([0] * e + [1], 1)
+    f = _as_ratfunc(base)
+    k = max(f.num.degree, f.den.degree, 0)
     _check(node, "degree", k * e, MAX_DEGREE)
     _check(node, "integer bits", ((k + 1) * height(base) - 1).bit_length() * e, MAX_BITS)
-    if base == _X:
-        return int_poly([0] * e + [1], 1)
     return base**e
 
 
-def _lower_binop(node: BinOp, left: _Lowered, right: _Lowered) -> _Lowered:
+def _lower_binop(node, op: str, left: _Lowered, right: _Lowered) -> _Lowered:
     """The degree bound of a/b op c/d is checked before any product or gcd
     starts, the integers on the result.  a, b, c, d count coefficients
     (degree + 1), so a bound on the sum of two degrees is 2 less."""
-    (ln, ld), (rn, rd) = _terms(left), _terms(right)
-    a, b, c, d = len(ln.ints), len(ld.ints), len(rn.ints), len(rd.ints)
-    plus = (a + d, c + b, b + d)
-    bounds = {"+": plus, "-": plus, "*": (a + c, b + d), "/": (a + d, b + c)}
-    op = node.op
-    _check(node, "degree", max(bounds[op]) - 2, MAX_DEGREE)
-    if op == "/" and right.is_zero:
-        raise DivisionByZeroConstant(f"division by zero in {print_expr(node)}")
-    if type(left) is not Poly or type(right) is not Poly or (op == "/" and c > 1):
-        result = _OPERATORS[op](_as_ratfunc(left), _as_ratfunc(right))
-    elif op != "/":
+    if type(left) is Poly and type(right) is Poly:
+        # the bounds below with b = d = 1, where they pass the limit
+        a, c = len(left.ints), len(right.ints)
+        _check(node, "degree", a + c - 2 if op == "*" else max(a, c) - 1, MAX_DEGREE)
+        if op != "/":
+            result = _OPERATORS[op](left, right)
+        elif c > 1:  # a constant left needs no gcd
+            result = RatFunc(left, right) if a > 1 else _as_ratfunc(left) / _as_ratfunc(right)
+        elif c:  # a constant divisor n/m: multiply by m/n
+            result = int_poly([x * right.den for x in left.ints], left.den * right.ints[0])
+        else:
+            raise DivisionByZeroConstant(f"division by zero in {_text(node)}")
+    else:
+        left, right = _as_ratfunc(left), _as_ratfunc(right)
+        a, b, c, d = (len(p.ints) for p in (left.num, left.den, right.num, right.den))
+        plus = (a + d, c + b, b + d)
+        bounds = {"+": plus, "-": plus, "*": (a + c, b + d), "/": (a + d, b + c)}
+        _check(node, "degree", max(bounds[op]) - 2, MAX_DEGREE)
+        if op == "/" and right.is_zero:
+            raise DivisionByZeroConstant(f"division by zero in {_text(node)}")
         result = _OPERATORS[op](left, right)
-    else:  # a constant divisor n/m: multiply by m/n
-        n, m = right.ints[0], right.den
-        result = int_poly([x * m for x in left.ints], left.den * n)
-    _check(node, "integer bits", height(result).bit_length(), MAX_BITS)
+    for p in (result,) if type(result) is Poly else (result.num, result.den):
+        if p.den >= _LIMIT or p.ints and (max(p.ints) >= _LIMIT or -min(p.ints) >= _LIMIT):
+            _check(node, "integer bits", height(result).bit_length(), MAX_BITS)
     return result
+
+
+def _lower(node: ExprAST) -> _Lowered:
+    kind = type(node)
+    if kind is BinOp:
+        return _lower_binop(node, node.op, _lower(node.left), _lower(node.right))
+    if kind is Num:
+        return _lower_num(node, node.value)
+    if kind is Var:
+        return _X
+    if kind is Neg:
+        return -_lower(node.operand)
+    return _lower_pow(node, _lower(node.base), node.exponent)
 
 
 def to_ratfunc(node: ExprAST) -> RatFunc:
@@ -369,39 +372,36 @@ def to_ratfunc(node: ExprAST) -> RatFunc:
 
     Raises Refused when two distinct names occur, DivisionByZeroConstant
     when a divisor is identically zero, ExpressionTooLarge past the size
-    limits.
-    """
+    limits."""
     names = set()
 
     def scan(n: ExprAST):
-        if isinstance(n, Var):
+        kind = type(n)
+        if kind is Var:
             names.add(n.name)
-        elif isinstance(n, Neg):
-            scan(n.operand)
-        elif isinstance(n, BinOp):
+        elif kind is BinOp:
             scan(n.left)
             scan(n.right)
-        elif isinstance(n, Pow):
-            scan(n.base)
+        elif kind is not Num:
+            scan(n.operand if kind is Neg else n.base)
 
     scan(node)
     if len(names) > 1:
         raise Refused(f"expression mixes variables {sorted(names)}")
+    return _as_ratfunc(_lower(node))
 
-    def lower(n: ExprAST) -> _Lowered:
-        if isinstance(n, Num):
-            _check(n, "integer bits", n.value.bit_length(), MAX_BITS)
-            return int_poly([n.value], 1)
-        if isinstance(n, Var):
-            return _X
-        if isinstance(n, Neg):
-            return -lower(n.operand)
-        if isinstance(n, Pow):
-            return _lower_pow(n, lower(n.base))
-        return _lower_binop(n, lower(n.left), lower(n.right))
 
-    return _as_ratfunc(lower(node))
+# the makers of Num, Var, Neg, Pow and BinOp values for parse_ratfunc
+_LOWERED = (partial(_lower_num, None), lambda name: _X, operator.neg,
+            partial(_lower_pow, None), partial(_lower_binop, None))
 
 
 def parse_ratfunc(text: str) -> RatFunc:
-    return to_ratfunc(parse_expr(text))
+    """to_ratfunc(parse_expr(text)), lowered as the parser reads it."""
+    try:
+        value, names = _parse(text, _LOWERED)
+        if len(names) < 2:
+            return _as_ratfunc(value)
+    except _Unnamed:
+        pass
+    return to_ratfunc(parse_expr(text))  # which words the error

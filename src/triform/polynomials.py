@@ -108,31 +108,34 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
-        """Sum over the lcm of the two denominators."""
+    def __add__(self, other: "Poly", sign: int = 1) -> "Poly":
+        """self + sign * other over the lcm of the two denominators."""
         a, b = self.ints, other.ints
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g * sign
         if len(a) < len(b):
-            a, b = b, a
-            da, db = other.den, self.den
-        else:
-            da, db = self.den, other.den
-        g = math.gcd(da, db)
-        fa, fb = db // g, da // g
+            a, b, fa, fb = b, a, fb, fa
         out = [x * fa for x in a]
         for i, x in enumerate(b):
             out[i] += x * fb
-        return int_poly(out, da * fa)
-
-    def __neg__(self) -> "Poly":
-        return int_poly([-n for n in self.ints], self.den)
+        return int_poly(out, self.den * (other.den // g))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self.__add__(other, -1)
+
+    def __neg__(self) -> "Poly":
+        p = object.__new__(Poly)  # still canonical
+        p.ints = tuple([-n for n in self.ints])
+        p.den = self.den
+        return p
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
+        if len(a) == 1 or len(b) == 1:  # a constant operand scales the other
+            k, c = (a[0], b) if len(a) == 1 else (b[0], a)
+            return int_poly([x * k for x in c], self.den * other.den)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -209,8 +212,12 @@ class Poly:
         return int_poly(list(ints), ints[-1])
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor (Euclid over the monic remainder
-        sequence, which keeps the coefficient sizes small)."""
+        """Monic greatest common divisor: 1 when the images modulo the prime
+        _P have a constant gcd, else Euclid over the monic remainder
+        sequence, which keeps the coefficient sizes small."""
+        a, b = self.ints, other.ints
+        if a and b and a[-1] % _P and b[-1] % _P and _coprime_mod_p(a, b):
+            return _ONE
         a, b = self, other
         while not b.is_zero:
             a, b = b, (a % b).monic()
@@ -250,6 +257,36 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"
+
+
+# A Mersenne prime.  When _P divides neither leading integer, the gcd of
+# the images mod _P has at least the degree of the true gcd, whose leading
+# integer divides both (Brown 1971; Knuth, TAOCP vol. 2, 4.6.1); so a
+# constant image gcd proves the polynomials coprime.
+_P = 2**61 - 1
+
+
+def _coprime_mod_p(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
+    """Is the gcd of the integer lists a and b, taken mod _P, constant?
+    Euclid over GF(_P); a remainder step subtracts c/lead(b) times b from
+    the top of a for each leading integer c."""
+    a = [x % _P for x in a]
+    b = [x % _P for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _P)
+        n = len(b) - 1
+        neg = [-x * inv % _P for x in b[:-1]]
+        while len(a) > n:
+            c = a.pop()
+            if c:
+                for j, y in enumerate(neg, len(a) - n):
+                    a[j] = (a[j] + c * y) % _P
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 _QZERO = Q(0)
@@ -295,8 +332,9 @@ class RatFunc:
         if g.degree > 0:
             num = num // g
             den = den // g
-        if den.ints[-1] != den.den:
-            num = num.scale(Q(den.den, den.ints[-1]))
+        lead = den.ints[-1]
+        if lead != den.den:  # num * den.den / lead over den made monic
+            num = int_poly([n * den.den for n in num.ints], num.den * lead)
             den = den.monic()
         self.num, self.den = num, den
 
@@ -398,8 +436,10 @@ class RatFunc:
         if other.is_zero:
             raise ZeroDivisionError("division by zero RatFunc")
         num, den = other.den, other.num
-        if den.ints[-1] != den.den:
-            num, den = num.scale(Q(den.den, den.ints[-1])), den.monic()
+        lead = den.ints[-1]
+        if lead != den.den:  # num * den.den / lead over den made monic
+            num = int_poly([n * den.den for n in num.ints], num.den * lead)
+            den = den.monic()
         return self * RatFunc._raw(num, den)
 
     def scale(self, c) -> "RatFunc":

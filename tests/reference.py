@@ -5,8 +5,11 @@ are not used by the library: the Schwarzian derivative, the Schwarzian
 equation's solution test, composition and evaluation of rational functions,
 Moebius maps as functions and as matrices, the half-Riccati residual, the
 algebraic solvability of the triangular Riccati equation by its monodromy
-(Beukers and Heckman), and truncated Puiseux-series arithmetic in w = y' with the derivation D and the
-residual E(U) of the Schwarzian reduction (see `triform.puiseux`).
+(Beukers and Heckman), the polynomial gcd by Euclid's algorithm over Q,
+the expression parser as a recursive descent over token objects with its
+lowering one RatFunc per node, and truncated Puiseux-series arithmetic in
+w = y' with the derivation D and the residual E(U) of the Schwarzian
+reduction (see `triform.puiseux`).
 
 A series is a finite sum  sum_i a_i(y) * w^{lambda_i}  with strictly
 descending rational exponents.  Exponents below the series cutoff are
@@ -16,11 +19,27 @@ genuinely zero.  Scalars in Q are killed by D.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
-from triform.polynomials import Poly, RatFunc
-from triform.scalars import Q
+from triform.parser import (
+    MAX_DEGREE,
+    MAX_DEPTH,
+    MAX_NESTING,
+    BinOp,
+    DivisionByZeroConstant,
+    ExprAST,
+    ExpressionTooLarge,
+    ExprSyntaxError,
+    Neg,
+    Num,
+    Pow,
+    Var,
+    print_expr,
+)
+from triform.polynomials import Poly, RatFunc, height
+from triform.scalars import MAX_BITS, Q, Refused
 
 
 def coeffs(p: Poly) -> tuple:
@@ -126,6 +145,228 @@ def has_algebraic_solution(lam, mu, nu) -> bool:
         if sum(lo < x < hi for x in alphas) != 1:
             return False
     return True
+
+
+def reference_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm over the monic remainder sequence."""
+    while not b.is_zero:
+        a, b = b, (a % b).monic()
+    return a.monic()
+
+
+# -- the expression parser as a recursive descent over token objects ------------
+
+_OPS = set("+-*/^()")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'INT', 'NAME', one of _OPS, 'EOF'
+    text: str
+    pos: int
+
+
+def _tokenize(text: str) -> List[_Token]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        # isdecimal is what int() accepts; isdigit and isalnum also hold for
+        # superscripts such as '²', which must not read as part of a name
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(_Token("INT", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("NAME", text[i:j], i))
+            i = j
+            continue
+        if ch in _OPS:
+            tokens.append(_Token(ch, ch, i))
+            i += 1
+            continue
+        raise ExprSyntaxError(i, ("a digit", "a name", "an operator"), repr(ch))
+    tokens.append(_Token("EOF", "", n))
+    return tokens
+
+
+def _int(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError as exc:  # more digits than int() reads
+        raise ExpressionTooLarge(f"at offset {tok.pos}: {exc}") from exc
+
+
+class _Parser:
+    """Recursive descent; each method returns (node, depth), depth being
+    the number of operators on the longest path from node to a leaf."""
+
+    def __init__(self, tokens: List[_Token]):
+        self.tokens = tokens
+        self.i = 0
+        self.nesting = 0
+
+    @property
+    def cur(self) -> _Token:
+        return self.tokens[self.i]
+
+    def _fail(self, expected: Tuple[str, ...]):
+        tok = self.cur
+        found = "end of input" if tok.kind == "EOF" else repr(tok.text)
+        raise ExprSyntaxError(tok.pos, expected, found)
+
+    def _eat(self, kind: str) -> _Token:
+        if self.cur.kind != kind:
+            self._fail((f"'{kind}'",))
+        tok = self.cur
+        self.i += 1
+        return tok
+
+    def _nest(self, tok: _Token) -> None:
+        """Enter a parenthesis or a unary minus at tok, before recursing."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExpressionTooLarge(
+                f"at offset {tok.pos}: parentheses and unary minus nest deeper than "
+                f"the limit {MAX_NESTING}"
+            )
+
+    @staticmethod
+    def _depth(tok: _Token, depth: int) -> int:
+        """depth + 1 for the operator at tok, checked against MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ExpressionTooLarge(
+                f"at offset {tok.pos}: operators nest deeper than the limit {MAX_DEPTH}"
+            )
+        return depth + 1
+
+    def parse(self) -> ExprAST:
+        node, _ = self.expr()
+        if self.cur.kind != "EOF":
+            self._fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
+        return node
+
+    def expr(self) -> Tuple[ExprAST, int]:
+        node, depth = self.term()
+        while self.cur.kind in ("+", "-"):
+            tok = self._eat(self.cur.kind)
+            right, right_depth = self.term()
+            node, depth = BinOp(tok.kind, node, right), self._depth(tok, max(depth, right_depth))
+        return node, depth
+
+    def term(self) -> Tuple[ExprAST, int]:
+        node, depth = self.unary()
+        while self.cur.kind in ("*", "/"):
+            tok = self._eat(self.cur.kind)
+            right, right_depth = self.unary()
+            node, depth = BinOp(tok.kind, node, right), self._depth(tok, max(depth, right_depth))
+        return node, depth
+
+    def unary(self) -> Tuple[ExprAST, int]:
+        if self.cur.kind == "-":
+            tok = self._eat("-")
+            self._nest(tok)
+            operand, depth = self.unary()
+            self.nesting -= 1
+            return Neg(operand), self._depth(tok, depth)
+        return self.power()
+
+    def power(self) -> Tuple[ExprAST, int]:
+        base, depth = self.atom()
+        if self.cur.kind == "^":
+            tok = self._eat("^")
+            if self.cur.kind != "INT":
+                self._fail(("a nonnegative integer exponent",))
+            return Pow(base, _int(self._eat("INT"))), self._depth(tok, depth)
+        return base, depth
+
+    def atom(self) -> Tuple[ExprAST, int]:
+        tok = self.cur
+        if tok.kind == "INT":
+            return Num(_int(self._eat("INT"))), 0
+        if tok.kind == "NAME":
+            self._eat("NAME")
+            return Var(tok.text), 0
+        if tok.kind == "(":
+            self._nest(self._eat("("))
+            node = self.expr()
+            self._eat(")")
+            self.nesting -= 1
+            return node
+        self._fail(("an integer", "a name", "'('", "'-'"))
+
+
+def reference_parse_expr(text: str) -> ExprAST:
+    """The AST of text, or the parser's exception for it."""
+    return _Parser(_tokenize(text)).parse()
+
+
+def _reference_check(node, what, value, limit):
+    if value > limit:
+        text = print_expr(node)
+        raise ExpressionTooLarge(f"{text} may reach {what} {value}, above the limit {limit}")
+
+
+def reference_to_ratfunc(node: ExprAST) -> RatFunc:
+    """The lowering as a reduced RatFunc at every node, after a walk that
+    refuses two distinct names, with the same size checks in the same node
+    order as the library."""
+    names = set()
+
+    def scan(n):
+        if isinstance(n, Var):
+            names.add(n.name)
+        elif isinstance(n, Neg):
+            scan(n.operand)
+        elif isinstance(n, BinOp):
+            scan(n.left)
+            scan(n.right)
+        elif isinstance(n, Pow):
+            scan(n.base)
+
+    scan(node)
+    if len(names) > 1:
+        raise Refused(f"expression mixes variables {sorted(names)}")
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+    def lower(n):
+        if isinstance(n, Num):
+            _reference_check(n, "integer bits", n.value.bit_length(), MAX_BITS)
+            return RatFunc.const(Q(n.value))
+        if isinstance(n, Var):
+            return RatFunc(Poly.variable())
+        if isinstance(n, Neg):
+            return -lower(n.operand)
+        if isinstance(n, Pow):
+            base = lower(n.base)
+            k, e = max(base.num.degree, base.den.degree, 0), n.exponent
+            _reference_check(n, "degree", k * e, MAX_DEGREE)
+            bits = ((k + 1) * height(base) - 1).bit_length() * e
+            _reference_check(n, "integer bits", bits, MAX_BITS)
+            return base**e
+        left, right = lower(n.left), lower(n.right)
+        a, b = len(left.num.ints), len(left.den.ints)
+        c, d = len(right.num.ints), len(right.den.ints)
+        plus = (a + d, c + b, b + d)
+        bounds = {"+": plus, "-": plus, "*": (a + c, b + d), "/": (a + d, b + c)}
+        _reference_check(n, "degree", max(bounds[n.op]) - 2, MAX_DEGREE)
+        if n.op == "/" and right.is_zero:
+            raise DivisionByZeroConstant(f"division by zero in {print_expr(n)}")
+        result = ops[n.op](left, right)
+        _reference_check(n, "integer bits", height(result).bit_length(), MAX_BITS)
+        return result
+
+    return lower(node)
 
 
 EXACT = float("-inf")  # cutoff sentinel: nothing is truncated

@@ -451,7 +451,7 @@ class TestShapeLimits:
 
     def test_the_deepest_accepted_input_leaves_the_caller_room(self):
         # both limits at once: a sum of MAX_DEPTH operators inside
-        # MAX_NESTING parentheses; the limits' comment measures 515 frames
+        # MAX_NESTING parentheses; the limits' comment measures 212 frames
         chain = "+".join(["y"] * (MAX_DEPTH + 1))
         expr = "(" * MAX_NESTING + chain + ")" * MAX_NESTING
         old = sys.getrecursionlimit()
@@ -461,6 +461,21 @@ class TestShapeLimits:
         finally:
             sys.setrecursionlimit(old)
         assert code == 0
+
+    def test_a_deepest_input_lowered_from_its_ast_leaves_the_caller_room(self, capsys):
+        # as above, but the root's sum passes the bit limit, so the AST is
+        # lowered and printed, a frame per operator on the path; the
+        # limits' comment measures 512 frames
+        terms = ["2^9999"] + ["y"] * (MAX_DEPTH - 2) + ["2^9999"]
+        expr = "(" * MAX_NESTING + "+".join(terms) + ")" * MAX_NESTING
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frames() + 600)
+        try:
+            code, _ = run(["analyze", f"--expr={expr}", "--json"])
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 2
+        assert capsys.readouterr().err.endswith("may reach integer bits 10001, above the limit 10000\n")
 
 
 class TestBoundedSearch:
@@ -688,6 +703,14 @@ class TestSweep:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_full_text_bytes_unchanged(self):
+        # the text table names each triple from its inverse pairs, as
+        # str(TriangleParams) does; the --json table is pinned above
+        code, text = run(["sweep", "--bound", "100", "--full"])
+        assert code == 0
+        digest = "89192ba90763ba7572e95ec427107b21bfaa4f141576013f5f6593d9c98e853a"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestSweepCrossCheck:
     @pytest.mark.parametrize("bound", [2, 7, 12])
@@ -858,6 +881,16 @@ class TestOracle:
 
 
 class TestSeriesCheck:
+    def test_rational_a0_of_degree_1000_runs_fast(self):
+        # its derivative's gcds are settled modulo a prime; Euclid over Q
+        # took 38 s on this a0
+        start = time.perf_counter()
+        code, text = run(["series-check", "--a0", "(2*y^999+1)/(y^1000+3*y^500+y+1)", "--lambda0", "0"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        digest = "a6b92930fca0f99f2a92816fb40e958740bdc8f4ee7007d609ea8a559a75ecd2"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_satisfied_leading_constraint(self):
         code, doc = run_json(["series-check", "--triangle", "1,inf,inf"])
         assert code == 0

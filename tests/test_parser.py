@@ -1,13 +1,17 @@
 """Expression parser, canonical printer, lowering to rational functions."""
 
-import operator
 import pathlib
 import random
+import shlex
+import sys
 
 import pytest
 
+from triform.cli import main
 from triform.parser import (
     MAX_DEGREE,
+    MAX_DEPTH,
+    MAX_NESTING,
     BinOp,
     DivisionByZeroConstant,
     ExpressionTooLarge,
@@ -21,8 +25,10 @@ from triform.parser import (
     print_expr,
     to_ratfunc,
 )
-from triform.polynomials import Poly, RatFunc, height
-from triform.scalars import MAX_BITS, Q
+from triform.polynomials import Poly, RatFunc
+from triform.scalars import MAX_BITS, Refused
+
+from reference import reference_parse_expr, reference_to_ratfunc
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -151,47 +157,6 @@ def test_golden_renderings_stable():
 # -- the lowering against its per-node RatFunc reference --------------------------
 
 
-def _reference_check(node, what, value, limit):
-    if value > limit:
-        text = print_expr(node)
-        raise ExpressionTooLarge(f"{text} may reach {what} {value}, above the limit {limit}")
-
-
-def reference_to_ratfunc(node):
-    """The lowering as it was before Polys: every node a reduced RatFunc,
-    with the same size checks in the same node order."""
-    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-    def lower(n):
-        if isinstance(n, Num):
-            _reference_check(n, "integer bits", n.value.bit_length(), MAX_BITS)
-            return RatFunc.const(Q(n.value))
-        if isinstance(n, Var):
-            return RatFunc(Poly.variable())
-        if isinstance(n, Neg):
-            return -lower(n.operand)
-        if isinstance(n, Pow):
-            base = lower(n.base)
-            k, e = max(base.num.degree, base.den.degree, 0), n.exponent
-            _reference_check(n, "degree", k * e, MAX_DEGREE)
-            bits = ((k + 1) * height(base) - 1).bit_length() * e
-            _reference_check(n, "integer bits", bits, MAX_BITS)
-            return base**e
-        left, right = lower(n.left), lower(n.right)
-        a, b = len(left.num.ints), len(left.den.ints)
-        c, d = len(right.num.ints), len(right.den.ints)
-        plus = (a + d, c + b, b + d)
-        bounds = {"+": plus, "-": plus, "*": (a + c, b + d), "/": (a + d, b + c)}
-        _reference_check(n, "degree", max(bounds[n.op]) - 2, MAX_DEGREE)
-        if n.op == "/" and right.is_zero:
-            raise DivisionByZeroConstant(f"division by zero in {print_expr(n)}")
-        result = ops[n.op](left, right)
-        _reference_check(n, "integer bits", height(result).bit_length(), MAX_BITS)
-        return result
-
-    return lower(node)
-
-
 def outcome(lowering, node):
     """The lowered value as integers, or the exception's type and text."""
     try:
@@ -286,3 +251,147 @@ class TestLoweringMatchesReference:
     @pytest.mark.parametrize("ast", EDGE_CASES)
     def test_edge_cases(self, ast):
         assert outcome(to_ratfunc, ast) == outcome(reference_to_ratfunc, ast)
+
+
+# -- the front end against its recursive-descent reference ------------------------
+
+SOUP = [
+    "y", "y", "y", "x", "é", "λ", "_", "_t", "y1", "٣", "²",
+    "0", "1", "3", "12", "٣٤", "+", "-", "*", "/", "^", "(", ")",
+]
+SPACES = [" ", " ", "\t", "\u00a0", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+def soup_text(rng: random.Random) -> str:
+    """A printed expression with its spaces drawn from SPACES, and then up
+    to three pieces of SOUP inserted, characters deleted or replaced; or a
+    run of pieces alone."""
+    if rng.random() < 0.2:
+        return "".join(rng.choice(SOUP + SPACES) for _ in range(rng.randint(0, 14)))
+    chars = list(print_expr(fuzz_ast(rng, 1)))
+    chars = [rng.choice(SPACES) if ch == " " else ch for ch in chars]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        k = rng.randint(0, len(chars))
+        roll = rng.random()
+        if roll < 0.5 or not chars[k:]:
+            chars.insert(k, rng.choice(SOUP + SPACES))
+        elif roll < 0.75:
+            del chars[k]
+        else:
+            chars[k] = rng.choice(SOUP)
+    return "".join(chars)
+
+
+def _shapes():
+    """Nesting at 99, 100 and 101, and as many siblings; sums of 500 and
+    501 operators, also under a power and under three minus signs; literals
+    at and past the 4,300 digits int() reads and the MAX_BITS limit; some
+    with a trailing error."""
+    for k in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+        yield "(" * k + "y" + ")" * k
+        yield "-" * k + "y"
+        yield "-(" * (k // 2) + "y" + ")" * (k // 2)
+        yield "(" * k + "y"
+        yield "(" * k + ")" * k
+        yield "+".join(["(-y)"] * k)
+    for k in (MAX_DEPTH, MAX_DEPTH + 1):
+        for op in "+-*/":
+            yield op.join(["y"] * (k + 1))
+        yield "+".join(["y"] * (k + 1)) + ")"
+        yield "(" + "+".join(["y"] * k) + ")^2"
+        yield "---(" + "+".join(["y"] * k) + ")"
+        yield "(" + "+".join(["y"] * k) + ")^" + "1" * 4301
+    for digits in (4300, 4301):
+        yield "1" * digits
+        yield "y^" + "1" * digits
+        yield "1" * digits + " @"
+        yield "1" * digits + " +"
+    yield str(2**MAX_BITS - 1)
+    yield str(2**MAX_BITS)
+    yield "x^2000 + y"
+    yield "y^2000 + )"
+
+
+def front_end_outcome(parse, text):
+    """What parse gives for text: its value, or its exception's type and
+    message."""
+    try:
+        f = parse(text)
+    except Refused as exc:
+        return type(exc), str(exc)
+    return (f.num.ints, f.num.den, f.den.ints, f.den.den) if isinstance(f, RatFunc) else f
+
+
+class TestFrontEndMatchesReference:
+    """parse_expr against the recursive descent it replaced, and
+    parse_ratfunc against that parser with the per-node RatFunc lowering:
+    the same AST or value, or the same exception type and message."""
+
+    TEXTS = [soup_text(random.Random(20261020 + k)) for k in range(5000)] + list(_shapes())
+
+    @pytest.fixture(autouse=True)
+    def deep_equality(self):
+        # == on dataclasses recurses several frames per level of a tree
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old, 10_000))
+        yield
+        sys.setrecursionlimit(old)
+
+    def test_seeded_texts(self):
+        parsed = lowered = 0
+        for text in self.TEXTS:
+            want = front_end_outcome(reference_parse_expr, text)
+            assert front_end_outcome(parse_expr, text) == want, repr(text)
+            parsed += not isinstance(want, tuple)
+            value = front_end_outcome(lambda t: reference_to_ratfunc(reference_parse_expr(t)), text)
+            assert front_end_outcome(parse_ratfunc, text) == value, repr(text)
+            lowered += type(value[0]) is tuple
+        # both sides of every check are reached
+        assert parsed > 1500 and lowered > 1000 and len(self.TEXTS) - parsed > 1500
+
+    def test_texts_reach_every_branch(self):
+        messages = "\n".join(
+            str(front_end_outcome(parse_ratfunc, text)[-1]) for text in self.TEXTS
+        )
+        for words in (
+            ": expected a digit or a name or an operator, found '²'",
+            ": expected ')', found ",
+            ": expected '+' or '-' or '*' or '/' or '^' or end of input, found ",
+            ": expected a nonnegative integer exponent, found ",
+            ": expected an integer or a name or '(' or '-', found ",
+            ": parentheses and unary minus nest deeper than the limit",
+            ": operators nest deeper than the limit",
+            ": Exceeds the limit (4300",
+            "expression mixes variables ['y', 'é']",
+            "may reach degree",
+            "may reach integer bits",
+            "division by zero in",
+        ):
+            assert words in messages, words
+
+
+# Each "$ triform ARGS" line of parser_diagnostics.out, then its stdout and
+# stderr: one line per error class of the front end, and the competing
+# errors, of which the first found is reported.
+DIAGNOSTICS = DATA / "parser_diagnostics.out"
+
+
+def test_golden_diagnostics(capsys):
+    cases = DIAGNOSTICS.read_text().split("$ triform ")[1:]
+    assert len(cases) == 39
+    # the over-long literal's text is int()'s own message, worded by the
+    # Python that runs; the file holds the wording of Python 3.11
+    try:
+        int("1" * 4301)
+    except ValueError as exc:
+        running = str(exc)
+    for case in cases:
+        command, want = case.split("\n", 1)
+        code = main(shlex.split(command), out=sys.stdout)
+        got = capsys.readouterr()
+        want = want.replace(
+            "Exceeds the limit (4300 digits) for integer string conversion: value has "
+            "4301 digits; use sys.set_int_max_str_digits() to increase the limit",
+            running,
+        )
+        assert (code, got.out + got.err) == (2, want), command

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triform.polynomials as polynomials
 from triform.polynomials import (
     NEG_INF,
     NotSplitOverRationals,
     Poly,
     RatFunc,
+    int_poly,
     linear_factorization,
     rational_roots,
     render_poly,
@@ -20,7 +22,7 @@ from triform.polynomials import (
 from triform.scalars import Q
 
 from conftest import random_poly, random_ratfunc
-from reference import coeffs, value
+from reference import coeffs, reference_gcd, value
 
 Y = RatFunc(Poly.variable())
 ONE = RatFunc.const(1)
@@ -230,6 +232,54 @@ class TestReducedArithmetic:
             assert g == euclid(a, b)
             assert g.is_zero or g.leading == 1
 
+
+
+class TestModularGcd:
+    """Poly.gcd returns 1 when the images mod polynomials._P have a constant
+    gcd, and runs Euclid otherwise; it must equal Euclid everywhere."""
+
+    P = polynomials._P
+
+    def operand(self, rng):
+        """Zero, a constant, or up to degree 6 with small integers, with a
+        leading integer that is a multiple of P one time in five."""
+        deg = rng.choice((-1, 0, 0, *range(1, 7)))
+        if deg < 0:
+            return Poly(())
+        ints = [rng.randint(-9, 9) for _ in range(deg)]
+        lead = rng.choice((1, -1, 2, 7, -12))
+        if rng.random() < 0.2:
+            lead *= self.P
+        return int_poly(ints + [lead], rng.choice((1, 1, 2, 3, 10)))
+
+    def test_matches_euclid_on_seeded_pairs(self, monkeypatch):
+        rng = random.Random(20261021)
+        proved = []
+        real = polynomials._coprime_mod_p
+
+        def counting(a, b):
+            proved.append(real(a, b))
+            return proved[-1]
+
+        monkeypatch.setattr(polynomials, "_coprime_mod_p", counting)
+        for _ in range(3000):
+            a, b = self.operand(rng), self.operand(rng)
+            if rng.random() < 0.5:
+                common = self.operand(rng)
+                if not common.is_zero:
+                    a, b = a * common, b * common
+            assert a.gcd(b) == reference_gcd(a, b), (a, b)
+        # both outcomes of the modular test, and pairs it is not run on
+        assert proved.count(True) > 500 and proved.count(False) > 200
+        assert len(proved) < 2000
+
+    def test_common_factor_mod_p_alone(self):
+        # y + 1 and y + 1 + P agree mod P but are coprime over Q: the
+        # image gcd is not constant, so Euclid decides
+        a = Poly((1, 1))
+        b = Poly((1 + self.P, 1))
+        assert not polynomials._coprime_mod_p(a.ints, b.ints)
+        assert a.gcd(b) == reference_gcd(a, b) == Poly.one()
 
 def _strip(cs):
     cs = list(cs)
