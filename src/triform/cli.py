@@ -111,9 +111,10 @@ MAX_A0_WORK = 400_000
 # the triples grow as bound^3 / 6.  Measured at the limit, 1,353,194
 # triples, in a fresh process on a 2-core x86-64 with Python 3.11: the plain
 # sweep takes 2.8-3.2 s in 17 MiB, --cross-check 73-88 s in 17 MiB (past the
-# 60 s criterion 4 allows the bound-100 cross-check), and --full 4.7-4.8 s
-# in text and 7.7-8.5 s with --json, for its 113 MB of output, in 18 MiB.  200
-# lets the plain sweep, the paper's check, reach twice criterion 1's bound.
+# 60 s criterion 4 allows the bound-100 cross-check), and --full 4.0-4.8 s
+# in text and 5.5-6.6 s with --json, for its 113 MB of output, in
+# 18.5-18.7 MiB.  200 lets the plain sweep, the paper's check, reach twice
+# criterion 1's bound.
 MAX_SWEEP_BOUND = 200
 
 

@@ -25,13 +25,26 @@ it is returned, once per distinct u.  With S the product of the y - c,
 theta = T/S for a polynomial T, and the equation cleared of S^2 has
 polynomial coefficients, of which those that do not depend on the combo
 are built once per R.  As (1/2)R vanishes to order >= 2 at infinity, the
-operator maps y^j to degree at most j + deg(S^2) - 2, with top coefficient
-I(j), the indicial polynomial at infinity; so the linear system for P is
-triangular, and P comes from a recurrence that fixes its coefficients one
-at a time from the top.  Where I has a second integer root k below d, p_k
-is a free constant; when no remaining equation fixes it, the solutions form
-a family with one movable constant, recorded in the search certificate with
-the representative p_k = 0, and its members are not enumerated.
+operator maps y^j to the rows j - 2 ... j + deg(S^2) - 2, with top
+coefficient I(j), the indicial polynomial at infinity; so the linear system
+for P is triangular and banded, and P comes from a recurrence on integer
+pairs that fixes its coefficients one at a time from the top, each from
+the at most deg(S^2) coefficients above it.  The rows that no coefficient
+fixes, those below deg(S^2) - 2, the free row and the top row, are
+evaluated once at the end.  Where I has a second integer root k below d,
+p_k is a free constant; when no remaining equation fixes it, the solutions
+form a family with one movable constant, recorded in the search
+certificate with the representative p_k = 0, and its members are not
+enumerated.
+
+A candidate u = theta + P'/P is reduced from its structure, not by a gcd:
+a root c of P of multiplicity m at a pole moves into the residue e_c + m,
+and the rest of P has no root at a pole and, as a solution of an equation
+that is regular off the poles, only simple roots; gcd(P1, P1') = 1 for
+that rest P1, settled modulo a prime, confirms it before the fraction is
+taken as reduced.  The
+substitution check clears u' + u^2 + (1/2)R to one numerator and tests it
+for zero.
 """
 
 from __future__ import annotations
@@ -68,10 +81,10 @@ class UnsupportedAtInfinity(Refused):
 # Declared work limit of the oracle: the number of exponent combos, the
 # product of the numbers of exponents at each pole and at infinity.
 # Measured with (1/2)R = -(u' + u^2), u = sum_{i=1..k} 2/(y - i), where
-# most combos reach the solve: at k = 8 (512 combos) the oracle takes
-# 0.7-1.0 s on a 2-core x86-64 with Python 3.11, at k = 9 (1024 combos)
-# 1.7-2.4 s and at k = 10 (2048 combos) 4.0 s.  The R of a triangle has at
-# most 8 combos.
+# most combos reach the solve, as rational_solutions alone in a fresh
+# process on a 2-core x86-64 with Python 3.11: at k = 8 (512 combos) it
+# takes 0.12-0.14 s, at k = 9 (1024 combos) 0.28-0.29 s and at k = 10
+# (2048 combos) 0.41-0.63 s.  The R of a triangle has at most 8 combos.
 MAX_COMBOS = 512
 
 
@@ -79,12 +92,16 @@ class TooManyCombos(Refused):
     """The oracle would enumerate more than MAX_COMBOS exponent combos."""
 
 
-# Declared work limit of the oracle's solves for P: the sum of (d + 1)^2, a
-# solve's cost, over the degrees d solved; at most MAX_COMBOS * 25^2 =
-# 320,000 under the default degree bound 24.  On a 2-core x86-64 with Python
-# 3.11, (1/2)R = -N(N-1)/(y+1)^2 takes 0.24-0.27 s at N = 499 (work 996,006)
-# and 0.76 s at N = 1000 (4,000,002), and the R of u = sum_{i=1..8} c/(y - i)
-# 0.80-0.83 s at c = 7 (805,632) and 1.0 s at c = 8 (1,067,776).
+# Declared work limit of the oracle's solves for P: the sum of (d + 1)^2
+# over the degrees d solved; at most MAX_COMBOS * 25^2 = 320,000 under the
+# default degree bound 24.  (d + 1)^2 bounds the entries of a solve's
+# triangular system; the banded recurrence visits about (d + 1)(deg S^2 + 1)
+# of them, so few poles cost far less than the bound.  Measured as
+# rational_solutions alone, degree bound 2000, in a fresh process on a
+# 2-core x86-64 with Python 3.11: (1/2)R = -N(N-1)/(y+1)^2 takes
+# 0.008-0.011 s at N = 499 (work 996,006) and 0.02-0.03 s at N = 1000
+# (4,000,002), and the R of u = sum_{i=1..8} c/(y - i) 0.33-0.36 s at c = 7
+# (805,632) and 0.26-0.39 s at c = 8 (1,067,776).
 MAX_SOLVE_WORK = 1_000_000
 
 
@@ -103,7 +120,14 @@ class RiccatiEq:
         return self.R.scale(_HALF)
 
     def residual(self, u: RatFunc) -> RatFunc:
-        return u.derivative() + u * u + self.half_R
+        """u' + u^2 + (1/2)R from one cleared numerator: for u = N/D and
+        (1/2)R = a/b it is M/(D^2 b) with M = (N'D - ND' + N^2) b + a D^2,
+        so a solution costs no gcd."""
+        N, D = u.num, u.den
+        half_R = self.half_R
+        DD = D * D
+        M = (N.derivative() * D - N * D.derivative() + N * N) * half_R.den + half_R.num * DD
+        return RatFunc.zero() if M.is_zero else RatFunc(M, DD * half_R.den)
 
     def render(self) -> str:
         return f"du/dy + u^2 + ({self.half_R.render('y')}) = 0"
@@ -203,56 +227,93 @@ def _solve_monic_polynomial(d: int, D: Poly, DA: Poly, DB: Poly):
     As A and B vanish to orders 1 and 2 at infinity, L maps y^j to degree
     <= j + deg D - 2, with top coefficient lead(D) I(j), I the indicial
     polynomial at infinity.  So the system is triangular from the top: each
-    p_j with I(j) != 0 is fixed by row j + deg D - 2.  I is quadratic with d
-    a root, so at most one index k < d has I(k) = 0; p_k is the one free
-    constant, and the rows that no p_j fixed decide it.  (Should I(d) != 0,
-    the top row of L(y^d) survives every step and the answer is "none".)
-    The answer depends only on the solutions, so any polynomial multiple of
-    the operator gives the same one.
-    """
-    shift = D.degree - 2
-    den = math.lcm(D.den, DA.den, DB.den)
-    d_ints, da_ints, db_ints = ([n * (den // p.den) for n in p.ints] for p in (D, DA, DB))
-    width = max(len(d_ints) - 2, len(da_ints) - 1, len(db_ints))
+    p_j with I(j) != 0 is fixed by row k = j + deg D - 2.  I is quadratic
+    with d a root, so at most one index below d has I = 0; its p is the one
+    free constant, set to 0, and the rows that no p_j fixed decide it.
+    (Should I(d) != 0, the top row d + deg D - 2 of L(P) is lead(D) I(d)
+    whatever the lower p_j, and the answer is "none".)
 
-    def image(j: int) -> Poly:
-        """L(y^j) = j(j-1) D y^(j-2) + j DA y^(j-1) + DB y^j, added up from
-        the integers of D, DA and DB shifted by j - 2, j - 1 and j."""
-        out = [0] * (j + width)
-        shifted = ((j - 2, j * (j - 1), d_ints), (j - 1, j, da_ints), (j, 1, db_ints))
-        for start, factor, ints in shifted:
-            if factor:
-                for i, n in enumerate(ints, start):
-                    out[i] += factor * n
-        return int_poly(out, den)
+    The system is banded: L(y^i) reaches only the rows i - 2 ... i + deg D
+    - 2, so row k holds the columns j ... j + deg D, and
+
+        p_j = -(sum over i = j+1 ... j + deg D of p_i L[k][i]) / L[k][j],
+
+    with each p_j kept as a reduced integer pair and the band's entries
+    computed from the integers of D, DA and DB.  The rows that no pivot
+    fixes are evaluated once, at the end: the rows below deg D - 2, the
+    free row and the top row.  Then the free constant is fixed by the
+    highest of the rows below deg D - 2 on which its own column L(P_k) is
+    not zero; when there is none, the solutions form a family.  The answer
+    depends only on the solutions, so any polynomial multiple of the
+    operator gives the same one.
+    """
+    n = D.degree
+    shift = n - 2
+    den = math.lcm(D.den, DA.den, DB.den)
+    # L[i + t - 2][i] = c2[t] i^2 + c1[t] i + c0[t] for t = 0 ... n: the
+    # integers of i(i-1) D y^(i-2) + i DA y^(i-1) + DB y^i, padded to the band
+    c2, c1, c0 = ([0] * (n + 1) for _ in range(3))
+    for pad, part, out in ((0, D, c2), (1, DA, c1), (2, DB, c0)):
+        scale = den // part.den
+        for t, x in enumerate(part.ints[: max(0, n + 1 - pad)], pad):
+            out[t] = x * scale
+    for t in range(n + 1):
+        c1[t] -= c2[t]
+
+    def row(nums: List[int], dens: List[int], k: int) -> Tuple[int, int]:
+        """Row k of L(sum p_i y^i) as an integer pair, not reduced."""
+        lo, hi = max(0, k - shift), min(len(nums) - 1, k + 2)
+        common = math.lcm(*dens[lo : hi + 1])
+        total = 0
+        for i in range(lo, hi + 1):
+            if nums[i]:
+                t = k - i + 2
+                total += nums[i] * (common // dens[i]) * ((c2[t] * i + c1[t]) * i + c0[t])
+        return total, common
 
     def descend(top: int):
-        """(y^top + lower terms, its image, free index or None): each lower
-        p_j clears row j + shift of the image."""
-        P = int_poly([0] * top + [1], 1)
-        r, free = image(top), None
+        """The integer pairs of y^top + lower terms, as two lists, and the
+        free index or None: each lower p_j clears row j + shift."""
+        nums, dens = [0] * top + [1], [1] * (top + 1)
+        free = None
         for j in range(top - 1, -1, -1):
-            mono = int_poly([0] * j + [1], 1)
-            col = image(j)
-            pivot = col.coeff(j + shift)
+            pivot = (c2[n] * j + c1[n]) * j + c0[n]
             if not pivot:
                 free = j
                 continue
-            c = -r.coeff(j + shift) / pivot
-            if c:
-                P, r = P + mono.scale(c), r + col.scale(c)
-        return P, r, free
+            total, common = row(nums, dens, j + shift)
+            if total:
+                nums[j], dens[j] = _lowest(-total, common * pivot)
+        return nums, dens, free
 
-    P, r, k = descend(d)
+    def poly(nums: List[int], dens: List[int]) -> Poly:
+        common = math.lcm(*dens)
+        return int_poly([x * (common // q) for x, q in zip(nums, dens)], common)
+
+    if (c2[n] * d + c1[n]) * d + c0[n]:
+        return ("none", None)
+    nums, dens, k = descend(d)
+    low = range(shift)  # the rows below deg D - 2
     if k is None:
-        return ("unique", P) if r.is_zero else ("none", None)
-    Pk, Lk, _ = descend(k)
-    if Lk.is_zero:
-        return ("family", P, 1) if r.is_zero else ("none", None)
-    # the top row of L(Pk) that is not zero fixes p_k = t
-    t = -r.coeff(Lk.degree) / Lk.leading
-    r = r + Lk.scale(t)
-    return ("unique", P + Pk.scale(t)) if r.is_zero else ("none", None)
+        if any(row(nums, dens, i)[0] for i in low):
+            return ("none", None)
+        return ("unique", poly(nums, dens))
+    free_row = row(nums, dens, k + shift)[0] if k + shift >= 0 else 0
+    knums, kdens, _ = descend(k)
+    lk = [row(knums, kdens, i) for i in low]
+    fix = max((i for i in low if lk[i][0]), default=None)
+    if fix is None:
+        if free_row or any(row(nums, dens, i)[0] for i in low):
+            return ("none", None)
+        return ("family", poly(nums, dens), 1)
+    if free_row:
+        return ("none", None)
+    # the top row of L(P_k) that is not zero fixes p_k = t
+    r = [Q(*row(nums, dens, i)) for i in low]
+    t = -r[fix] / Q(*lk[fix])
+    if any(r[i] + t * Q(*lk[i]) for i in low):
+        return ("none", None)
+    return ("unique", poly(nums, dens) + poly(knums, kdens).scale(t))
 
 
 def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
@@ -368,8 +429,7 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
                 f"{dim} free parameter(s); representative P = {P0}"
             )
         else:
-            P = outcome[1]
-            u = RatFunc(T * P + S * P.derivative(), S * P)  # theta + P'/P
+            u = _candidate(outcome[1], T, S, choice, cofactors)
             if u not in solutions:  # a known u was verified against this R
                 if not e.residual(u).is_zero:
                     entry["status"] = "candidate failed exact substitution"
@@ -378,6 +438,55 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
                 solutions.append(u)
             entry["status"] = f"solution u = {u}"
     return OracleResult(tuple(solutions), cert, complete)
+
+
+def _deflate(f: List[int], p: int, q: int) -> Optional[List[int]]:
+    """g with f = (q y - p) g, for the integers f of a polynomial, by
+    synthetic division from the top, or None when p/q is not a root."""
+    g = [0] * (len(f) - 1)
+    carry = 0
+    for i in range(len(f) - 1, 0, -1):
+        x = f[i] + p * carry  # f_i = q g_(i-1) - p g_i
+        if q != 1:
+            if x % q:
+                return None
+            x //= q
+        g[i - 1] = carry = x
+    return None if f[0] + p * carry else g
+
+
+def _candidate(P: Poly, T: Poly, S: Poly, choice: Tuple, cofactors: List[Poly]) -> RatFunc:
+    """u = theta + P'/P for theta = T/S = sum of e_c/(y - c), reduced from
+    its structure: each pole c that is a root of P of multiplicity m_c moves
+    into the residue e_c + m_c, and the poles where that is 0 drop out.  For
+    the cofactor P1 of P and S1, T1 over the poles that remain, u is
+    (T1 P1 + S1 P1')/(S1 P1), already reduced when P1 is squarefree: at a
+    remaining pole the numerator is (e_c + m_c) P1(c) times a nonzero
+    product, and at a simple root of P1 it is S1 P1'."""
+    ints, lift = list(P.ints), 1
+    dropped = Poly.one()
+    for (pole, e), cofactor in zip(choice, cofactors):
+        p, q = pole.numerator, pole.denominator
+        m = 0
+        while len(ints) > 1:
+            g = _deflate(ints, p, q)
+            if g is None:
+                break
+            ints, m = g, m + 1
+        if m:  # P = (y - c)^m * P1, with (q y - p)^m = q^m (y - c)^m
+            lift *= q**m
+            T = T + cofactor.scale(m)
+        if e + m == 0:
+            dropped = dropped * Poly.linear(pole)
+    P1 = int_poly([x * lift for x in ints], P.den)
+    if dropped.degree > 0:
+        T, S = T // dropped, S // dropped
+    num, den = T * P1 + S * P1.derivative(), S * P1
+    if num.is_zero:
+        return RatFunc.zero()
+    if P1.gcd(P1.derivative()).degree > 0:
+        return RatFunc(num, den)
+    return RatFunc._raw(num, den)
 
 
 def _operator_parts(r: RatFunc, poles: List) -> Tuple:

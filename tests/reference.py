@@ -3,13 +3,13 @@
 These are written from the definitions, on RatFunc arithmetic alone, and
 are not used by the library: the Schwarzian derivative, the Schwarzian
 equation's solution test, composition and evaluation of rational functions,
-Moebius maps as functions and as matrices, the half-Riccati residual, the
-algebraic solvability of the triangular Riccati equation by its monodromy
-(Beukers and Heckman), the polynomial gcd by Euclid's algorithm over Q,
-the expression parser as a recursive descent over token objects with its
-lowering one RatFunc per node, and truncated Puiseux-series arithmetic in
-w = y' with the derivation D and the residual E(U) of the Schwarzian
-reduction (see `triform.puiseux`).
+Moebius maps as functions and as matrices, the Riccati and half-Riccati
+residuals, the algebraic solvability of the triangular Riccati equation by
+its monodromy (Beukers and Heckman), the polynomial gcd by Euclid's
+algorithm over Q, the expression parser as a recursive descent over token
+objects with its lowering one RatFunc per node, and truncated
+Puiseux-series arithmetic in w = y' with the derivation D and the residual
+E(U) of the Schwarzian reduction (see `triform.puiseux`).
 
 A series is a finite sum  sum_i a_i(y) * w^{lambda_i}  with strictly
 descending rational exponents.  Exponents below the series cutoff are
@@ -113,6 +113,11 @@ def half_riccati_residual(a: RatFunc, R: RatFunc) -> RatFunc:
     """Residual of da/dy + (1/2)a^2 + R = 0; a solves this iff a/2 solves
     the Riccati equation with coefficient (1/2)R."""
     return a.derivative() + (a * a).scale(Q(1, 2)) + R
+
+
+def riccati_residual(u: RatFunc, half_R: RatFunc) -> RatFunc:
+    """Residual of du/dy + u^2 + (1/2)R = 0, from RatFunc arithmetic."""
+    return u.derivative() + u * u + half_R
 
 
 def has_algebraic_solution(lam, mu, nu) -> bool:

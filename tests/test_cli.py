@@ -828,6 +828,20 @@ class TestOracle:
         code, _ = run(["oracle", "--expr", "y"])
         assert code == 2
 
+    def test_golden_output(self, capsys):
+        # tests/data/oracle_solve.out: each "$ triform ARGS" line, then its
+        # stdout; the solve path in text and --json: a unique P, a family, a
+        # combo with no auxiliary polynomial, P = y^3 (y - 1) vanishing at
+        # both poles, the 512-combo input with four residue-1/2 poles, and
+        # P = (y+1)^399 at degree bound 1000
+        golden = (DATA / "oracle_solve.out").read_text()
+        cases = golden.split("$ triform ")[1:]
+        assert len(cases) == 12
+        for case in cases:
+            command, want = case.split("\n", 1)
+            code, text = run(shlex.split(command))
+            assert (code, text, capsys.readouterr().err) == (0, want, ""), command
+
     @staticmethod
     def poles_with_two_exponents(k):
         """R with (1/2)R = -(u' + u^2), u = sum_{i=1..k} 2/(y - i): the

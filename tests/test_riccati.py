@@ -22,8 +22,8 @@ from triform.riccati import (
 from triform.scalars import Q
 from triform.schwarzian import TriangleParams, build_triangular_R
 
-from conftest import random_ratfunc
-from reference import coeffs, half_riccati_residual, value
+from conftest import random_poly, random_ratfunc
+from reference import coeffs, half_riccati_residual, riccati_residual, value
 
 Y = RatFunc(Poly.variable())
 
@@ -483,6 +483,27 @@ def test_solver_matches_gauss_jordan_reference(monkeypatch):
     for R in population:
         rational_solutions(RiccatiEq(R))
     assert seen["family"] >= 100 and seen["unique"] >= 1000 and seen["none"] >= 500, seen
+    # high-degree solves: (1/2)R = -N(N-1)/(y+1)^2 has a combo of degree
+    # 2N - 1, whose P = (y+1)^(2N-1) fills the whole band
+    seen.clear()
+    for N in (2, 3, 5, 9, 17, 33, 60):
+        R = RatFunc(Poly((-2 * N * (N - 1),)), Poly.linear(-1) ** 2)
+        rational_solutions(RiccatiEq(R), degree_bound=2 * N)
+    assert seen["unique"] == 14, seen
+    # R = 0: with no pole, deg D - 2 = -2 and the rows j - 2 of j < 2 do
+    # not exist; the degree-1 combo is the family 1/(y - c)
+    seen.clear()
+    rational_solutions(RiccatiEq(RatFunc.zero()))
+    assert seen == {"unique": 1, "family": 1}, seen
+    # eight poles: u = sum_{i=1..8} e_i/(y - i), e_i in {2, -1, 1/2}, so
+    # deg D = 16 and the rows below deg D - 2 decide the free constants
+    seen.clear()
+    for _ in range(3):
+        u = RatFunc.zero()
+        for i in range(1, 9):
+            u = u + RatFunc(Poly((rng.choice((Q(2), Q(-1), Q(1, 2))),)), Poly.linear(i))
+        rational_solutions(RiccatiEq((u.derivative() + u * u).scale(Q(-2))))
+    assert seen["unique"] >= 10 and seen["none"] >= 100, seen
 
 
 def test_each_distinct_candidate_is_substituted_once(monkeypatch):
@@ -505,3 +526,74 @@ def test_each_distinct_candidate_is_substituted_once(monkeypatch):
     solved = [c for c in res.certificate.combos if c["status"].startswith("solution")]
     assert len(solved) == 8 and {c["status"] for c in solved} == {f"solution u = {u}"}
     assert calls == [u]
+
+
+def test_residual_matches_reference():
+    # the cleared numerator against u' + u^2 + (1/2)R on RatFunc arithmetic:
+    # solutions (u = v'/v for (1/2)R = -v''/v), other u, u = 0 with R = 0
+    # and with R != 0, and u with a pole of R
+    rng = random.Random(7403)
+    kinds = Counter()
+    for _ in range(300):
+        v = random_ratfunc(rng, 3, zero_ok=False)
+        half_R = random_ratfunc(rng, 3)
+        kind = rng.choice(("solution", "other", "zero", "shared pole"))
+        if kind == "solution" and not v.derivative().is_zero:
+            half_R = -(v.derivative().derivative() / v)
+            u = v.derivative() / v
+        elif kind == "zero":
+            u = RatFunc.zero()
+            if rng.random() < 0.5:
+                half_R = RatFunc.zero()
+        elif kind == "shared pole" and half_R.den.degree > 0:
+            u = RatFunc(random_poly(rng, 2), half_R.den) + random_ratfunc(rng, 2)
+        else:
+            kind = "other"
+            u = random_ratfunc(rng, 3)
+        got = RiccatiEq(half_R.scale(Q(2))).residual(u)
+        assert got == riccati_residual(u, half_R), (str(u), str(half_R))
+        kinds[kind, got.is_zero] += 1
+    assert min(kinds.values()) >= 20 and len(kinds) == 5, kinds
+
+
+def test_candidate_matches_unreduced_fraction():
+    # u = theta + P'/P reduced from its structure against RatFunc(T P + S P',
+    # S P): roots of P at the poles with multiplicity 1-3, residues that
+    # cancel them (e_c + m_c = 0), a repeated root off the poles, P = 1 and
+    # deg P = 24
+    rng = random.Random(7404)
+    candidates = sorted({Q(k, m) for k in range(-6, 7) for m in (1, 2, 3)})
+    kinds = Counter()
+    for _ in range(400):
+        points = rng.sample(candidates, rng.randint(2, 5))
+        poles, off = points[:-1], points[-1]
+        residues = [Q(rng.randint(-4, 4), rng.choice((1, 2))) for _ in poles]
+        kind = rng.choice(("at poles", "cancelled", "repeated off", "one", "degree 24"))
+        P = Poly.one()
+        if kind in ("at poles", "cancelled"):
+            for i, c in enumerate(poles):
+                if i == 0 or rng.random() < 0.5:
+                    m = rng.randint(1, 3)
+                    P = P * Poly.linear(c) ** m
+                    if kind == "cancelled":
+                        residues[i] = Q(-m)
+        elif kind == "repeated off":
+            P = Poly.linear(off) ** rng.randint(2, 3)
+        if kind == "degree 24":
+            P = Poly.linear(poles[0]) ** rng.randint(0, 3)
+        if kind != "one":
+            top = 24 - P.degree if kind == "degree 24" else rng.randint(0, 3)
+            P = P * Poly([Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(top)] + [1])
+        linears = [Poly.linear(c) for c in poles]
+        S = Poly.one()
+        for lin in linears:
+            S = S * lin
+        cofactors = [S // lin for lin in linears]
+        T = Poly.zero()
+        for e, cofactor in zip(residues, cofactors):
+            T = T + cofactor.scale(e)
+        choice = tuple(zip(poles, residues))
+        got = riccati._candidate(P, T, S, choice, cofactors)
+        assert got == RatFunc(T * P + S * P.derivative(), S * P), (str(P), choice)
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 50 and len(kinds) == 5, kinds
