@@ -24,7 +24,6 @@ import argparse
 import errno
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -40,6 +39,7 @@ from .schwarzian import (
     TriangleParams,
     build_triangular_R,
     moebius_pullback,
+    pullback_bits,
     recognize_triangular,
 )
 
@@ -84,19 +84,6 @@ def _witness_json(w) -> Optional[dict]:
             "integers": list(w.integers),
         }
     return {"condition": 2, "signs": list(w.signs), "value": w.value}
-
-
-def _pullback_bits(R: RatFunc, m: Moebius) -> int:
-    """Predicted bit size of the integers of moebius_pullback(R, m), known
-    before it runs.  m is unchanged by scaling its entries, so clear them to
-    integers of absolute value at most h; the pullback multiplies R by
-    deg N + deg D + 2 + |e| linear factors of m (see moebius_pullback) and by
-    det^2 <= (2h)^4, each factor growing the integers by at most 2h."""
-    entries = (m.a, m.b, m.c, m.d)
-    scale = math.lcm(*(x.denominator for x in entries))
-    h = max(abs(x.numerator) * (scale // x.denominator) for x in entries)
-    n, k = len(R.num.ints), len(R.den.ints)
-    return height(R).bit_length() + (n + k + abs(4 + n - k) + 4) * (2 * h).bit_length()
 
 
 # Declared work limit of series-check's --a0: its degree (numerator plus
@@ -146,7 +133,7 @@ def _resolve_input(args) -> Tuple[Optional[TriangleParams], RatFunc, dict]:
         raise Refused("one of --triangle or --expr is required")
     if getattr(args, "moebius", None):
         m = _parse_option("moebius", Moebius.parse, args.moebius)
-        _check_bits("moebius", "the pullback may reach integers of", _pullback_bits(R, m))
+        _check_bits("moebius", "the pullback may reach integers of", pullback_bits(R, m))
         R = moebius_pullback(R, m)
         params = None  # parameters must be re-recognized after the pullback
         echo["moebius"] = args.moebius

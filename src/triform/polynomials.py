@@ -16,7 +16,7 @@ all values are immutable.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .scalars import MAX_OUTPUT_BITS, Q, Refused
 
@@ -245,10 +245,6 @@ class Poly:
             qk *= q
             acc = acc * p + c * qk
         return acc, self.den * qk
-
-    def __call__(self, x):
-        """Value at a rational x."""
-        return Q(*self.at(x.numerator, x.denominator))
 
     # -- display -------------------------------------------------------------
 
@@ -521,33 +517,47 @@ def rational_roots(p: Poly) -> List[Tuple]:
     Roots are returned in ascending order.  They are the roots of the
     square-free part f of p with y^k stripped: with a the leading numerator
     of f, g(x) = a^(n-1) f(x/a) is monic with integer coefficients, and its
-    integer roots are a times the rational roots of f.  Those are found by
-    Hensel lifting, so the cost is polynomial in the coefficients' bit size.
+    integer roots, a times those of f, are found by Hensel lifting, in time
+    polynomial in the bit size; each multiplicity by synthetic division.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every root")
     roots: List[Tuple] = []
-    ints = p.ints
     k = 0
-    while not ints[k]:
+    while not p.ints[k]:
         k += 1
     if k:
         roots.append((_QZERO, k))
-        p = int_poly(list(ints[k:]), p.den)
+        p = int_poly(list(p.ints[k:]), p.den)
     if p.degree < 1:
         return roots
     f = (p // p.gcd(p.derivative())).ints
     n, a = len(f) - 1, f[-1]
     g = [c * a ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    ints = list(p.ints)
     for x in _integer_roots(g):
         r = Q(x, a)
         mult = 0
-        while p(r) == 0:
-            p = p // Poly.linear(r)
-            mult += 1
+        while (h := deflate(ints, r.numerator, r.denominator)) is not None:
+            ints, mult = h, mult + 1
         roots.append((r, mult))
     roots.sort(key=lambda t: t[0])
     return roots
+
+
+def deflate(f: List[int], p: int, q: int) -> Optional[List[int]]:
+    """g with f = (q y - p) g, for the integers f of a polynomial, by
+    synthetic division from the top, or None when p/q is not a root."""
+    g = [0] * (len(f) - 1)
+    carry = 0
+    for i in range(len(f) - 1, 0, -1):
+        x = f[i] + p * carry  # f_i = q g_(i-1) - p g_i
+        if q != 1:
+            if x % q:
+                return None
+            x //= q
+        g[i - 1] = carry = x
+    return None if f[0] + p * carry else g
 
 
 def _integer_roots(g: List[int]) -> List[int]:

@@ -60,6 +60,7 @@ from .polynomials import (
     Poly,
     RatFunc,
     check_output_size,
+    deflate,
     int_poly,
     linear_factorization,
 )
@@ -440,21 +441,6 @@ def rational_solutions(e: RiccatiEq, degree_bound: int = 24) -> OracleResult:
     return OracleResult(tuple(solutions), cert, complete)
 
 
-def _deflate(f: List[int], p: int, q: int) -> Optional[List[int]]:
-    """g with f = (q y - p) g, for the integers f of a polynomial, by
-    synthetic division from the top, or None when p/q is not a root."""
-    g = [0] * (len(f) - 1)
-    carry = 0
-    for i in range(len(f) - 1, 0, -1):
-        x = f[i] + p * carry  # f_i = q g_(i-1) - p g_i
-        if q != 1:
-            if x % q:
-                return None
-            x //= q
-        g[i - 1] = carry = x
-    return None if f[0] + p * carry else g
-
-
 def _candidate(P: Poly, T: Poly, S: Poly, choice: Tuple, cofactors: List[Poly]) -> RatFunc:
     """u = theta + P'/P for theta = T/S = sum of e_c/(y - c), reduced from
     its structure: each pole c that is a root of P of multiplicity m_c moves
@@ -468,10 +454,7 @@ def _candidate(P: Poly, T: Poly, S: Poly, choice: Tuple, cofactors: List[Poly]) 
     for (pole, e), cofactor in zip(choice, cofactors):
         p, q = pole.numerator, pole.denominator
         m = 0
-        while len(ints) > 1:
-            g = _deflate(ints, p, q)
-            if g is None:
-                break
+        while (g := deflate(ints, p, q)) is not None:
             ints, m = g, m + 1
         if m:  # P = (y - c)^m * P1, with (q y - p)^m = q^m (y - c)^m
             lift *= q**m

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from .polynomials import Poly, RatFunc, int_poly
+from .polynomials import Poly, RatFunc, height, int_poly
 from .scalars import INF, ExtRational, Q, Refused, ZeroParameter, parse_q, rational_sqrt
 
 
@@ -218,6 +218,21 @@ class Moebius:
         return f"({self.a}*y + {self.b})/({self.c}*y + {self.d})"
 
 
+def _integer_entries(m: Moebius) -> Tuple[int, int, int, int]:
+    """The entries of m times the lcm of their denominators: the same map."""
+    scale = math.lcm(m.a.denominator, m.b.denominator, m.c.denominator, m.d.denominator)
+    return tuple(x.numerator * (scale // x.denominator) for x in (m.a, m.b, m.c, m.d))
+
+
+def pullback_bits(R: RatFunc, m: Moebius) -> int:
+    """A bound, known before it runs, on the bits of moebius_pullback(R, m):
+    with m's entries cleared to size <= h, R gains 2x + 4 <= n + k + |4 + n - k|
+    linear factors and det^2, four more, each factor of size <= 2h."""
+    h = max(map(abs, _integer_entries(m)))
+    n, k = len(R.num.ints), len(R.den.ints)
+    return height(R).bit_length() + (n + k + abs(4 + n - k) + 4) * (2 * h).bit_length()
+
+
 def moebius_pullback(R: RatFunc, m: Moebius) -> RatFunc:
     """Coefficient function after the change of variable z = m(y).
 
@@ -226,36 +241,40 @@ def moebius_pullback(R: RatFunc, m: Moebius) -> RatFunc:
     """
     if R.is_zero:
         return R
-    # m^{-1}(z) = M/L with M = pz + q, L = rz + s and (m^{-1})' = det/L^2.
-    # Homogenising P against it, P_h = sum p_k M^k L^(deg P - k), gives
-    #   Rt = det^2 N_h / (D_h L^(4 + deg N - deg D)).
-    # m^{-1} is a bijection of the projective line, so N_h, D_h and L are
-    # pairwise prime: Rt only needs a monic denominator.
-    inv = m.inverse()
-    M, L = Poly((inv.b, inv.a)), Poly((inv.d, inv.c))
-    det = inv.a * inv.d - inv.b * inv.c
+    # m^{-1}(z) = M/L for M = az + b, L = cz + d on integers (scaling them
+    # leaves Rt unchanged) and (m^{-1})' = det/L^2.  For x = max(deg N, deg D - 4),
+    # Rt = det^2 N(M/L) L^x / (D(M/L) L^(x+4)), Taylor shifts in L by
+    # c(az + b) = a(cz + d) - det when c != 0.  m^{-1} is bijective on P^1 and
+    # only one side has extra powers of L, so den only needs to be monic.
+    p, q, r, s = _integer_entries(m)
+    a, b, c, d, det = inv = (s, -q, -r, p, p * s - q * r)
     N, D = R.num, R.den
-    e = 4 + N.degree - D.degree
-    L_pow = [Poly.one()]
-    for _ in range(max(N.degree, D.degree, e)):  # -e < deg D
-        L_pow.append(L_pow[-1] * L)
-    num, den = _homogenize(N, M, L_pow), _homogenize(D, M, L_pow)
-    if e >= 0:
-        den = den * L_pow[e]
-    else:
-        num = num * L_pow[-e]
-    # num and den carry the factors N.den and D.den of the homogenisation
-    lead = Q(den.ints[-1] * N.den, den.den * D.den)
-    return RatFunc._raw(num.scale(det * det / lead), den.monic())
+    x = max(N.degree, D.degree - 4)
+    num = _homogenize_ints(N.ints, x, inv)
+    den = int_poly(_homogenize_ints(D.ints, x + 4, inv), 1)  # strips the zeros on top
+    # R = N.ints D.den / (D.ints N.den), and num/den carries c^-4 when c != 0
+    factor, lead = det**2 * D.den * (c**4 or 1), den.ints[-1]
+    return RatFunc._raw(int_poly([v * factor for v in num], N.den * lead), den.monic())
 
 
-def _homogenize(P: Poly, M: Poly, L_pow) -> Poly:
-    """P.den * sum p_k M^k L^(deg P - k), by Horner's rule in M on the
-    integer numerators of P."""
-    ints = P.ints
-    n = len(ints) - 1
-    acc = Poly((ints[-1],))
-    for k in range(n - 1, -1, -1):
-        acc = acc * M + L_pow[n - k].scale(ints[k])
-    return acc
+def _homogenize_ints(f, n: int, inv) -> List[int]:
+    """sum f_k M^k L^(n-k) on integers; when c != 0, c^n times it, which is
+    G(cz + d) for G(w) = w^n F(1/w) and F(t) = sum f_k c^(n-k) (a - det t)^k."""
+    a, b, c, d, det = inv
+    f = list(f) + [0] * (n + 1 - len(f))
+    if not c:
+        return _substitute(f, d, b, a)
+    return _substitute(_substitute(f, c, a, -det)[::-1], 1, d, c)
 
+
+def _substitute(f: List[int], u: int, s: int, v: int) -> List[int]:
+    """sum f_k u^(n-k) (v z + s)^k for f = [f_0, ..., f_n]: a scaling, a
+    Taylor shift by s in the Pascal scheme (Shaw and Traub 1974; von zur
+    Gathen and Gerhard 1997) and a scaling."""
+    n = len(f) - 1
+    f = [x * u ** (n - k) for k, x in enumerate(f)] if u != 1 else f
+    for i in range(n if s else 0):
+        acc = f[n]
+        for j in range(n - 1, i - 1, -1):
+            acc = f[j] = f[j] + s * acc
+    return [x * v**k for k, x in enumerate(f)] if v != 1 else f

@@ -47,10 +47,18 @@ def coeffs(p: Poly) -> tuple:
     return tuple(Q(n, p.den) for n in p.ints)
 
 
+def poly_value(p: Poly, x) -> Q:
+    """p(x) for a rational x, by Horner's rule on Q values."""
+    acc = Q(0)
+    for c in reversed(coeffs(p)):
+        acc = acc * x + c
+    return acc
+
+
 def value(r: RatFunc, x) -> Q:
     """r(x) for a rational x; ZeroDivisionError at a pole of r."""
     x = Q(x)
-    return r.num(x) / r.den(x)
+    return poly_value(r.num, x) / poly_value(r.den, x)
 
 
 def compose(f: RatFunc, g: RatFunc) -> RatFunc:

@@ -379,6 +379,16 @@ class TestInputChecks:
         assert code == 0
         assert doc["normalized"]
 
+    @pytest.mark.parametrize("verb", [["analyze", "--oracle"], ["oracle"]])
+    def test_degree_1000_pullback_runs_fast(self, verb):
+        # the parser's degree limit under --moebius: the pullback, then the
+        # rational roots of its degree-1000 denominator
+        argv = [verb[0], "--expr", "1/((y+1)^500*(y+2)^500)", "--moebius", "2,3,5,7"]
+        start = time.perf_counter()
+        code, doc = run_json(argv + verb[1:])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+
     def test_expr_under_the_limit_runs(self):
         code, doc = run_json(["analyze", "--expr", "(y+1)^600"])
         assert code == 0

@@ -89,6 +89,15 @@ class TestRationalRoots:
                     linear_factorization(p)
             else:
                 assert linear_factorization(p) == expected
+        # the degree-1000 denominator of the CLI's declared-limit inputs,
+        # roots with denominators > 1, and multiple roots at 0
+        for roots in (
+            {Q(-1): 500, Q(-2): 500},
+            {Q(0): 2, Q(2, 3): 3, Q(-5, 7): 1, Q(1, 10**20): 2},
+            {Q(0): 7, Q(-3, 2): 4},
+        ):
+            p = math.prod((Poly.linear(r) ** m for r, m in roots.items()), start=Poly.const(3))
+            assert rational_roots(p) == sorted(roots.items())
 
     def test_lift_reaches_twice_the_root_bound(self):
         # y - r lifts from 3 through 9, 81, 6561, ...; the residue mod m
@@ -420,7 +429,7 @@ class TestIntegerKernels:
                 Q(rng.randint(-5, 5)),
                 rng.randint(-5, 5),
             ):
-                got = p(x)
+                got = Q(*p.at(x.numerator, x.denominator))
                 assert type(got) is Q
                 assert got == self.ref_eval(coeffs(p), x)
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from triform.polynomials import Poly, RatFunc
+from triform.polynomials import Poly, RatFunc, height
 from triform.scalars import INF, ExtRational, Q, rational_sqrt
 from triform.schwarzian import (
     Moebius,
@@ -18,6 +18,7 @@ from triform.schwarzian import (
     _build_from_inverse_squares,
     build_triangular_R,
     moebius_pullback,
+    pullback_bits,
     recognize_triangular,
 )
 
@@ -184,13 +185,24 @@ class TestMoebius:
 
     def test_pullback_matches_composition(self, rng):
         # the homogenised pullback against R(m^-1) * ((m^-1)')^2 computed
-        # by composition, over every shape the formula distinguishes
+        # by composition, over every shape the formula distinguishes; the
+        # last cases have denominators of degree 30-60 with repeated roots
         shapes = set()
-        for i in range(400):
-            R = RatFunc(random_poly(rng, 4), random_poly(rng, 7, zero_ok=False))
+        for i in range(406):
+            if i < 400:
+                R = RatFunc(random_poly(rng, 4), random_poly(rng, 7, zero_ok=False))
+            else:
+                den = Poly.one()
+                while den.degree < 30:
+                    root = Q(rng.randint(-9, 9), rng.randint(1, 4))
+                    den = den * Poly.linear(root) ** rng.randint(2, 10)
+                R = RatFunc(random_poly(rng, 4), den)
+                assert 30 <= R.den.degree <= 60
             m = random_moebius(rng)
             if i % 4 == 0:
                 m = Moebius(m.a or 1, m.b, 0, m.d or 1)  # affine: c = 0
+            if i >= 400:
+                shapes.add("high degree, " + ("affine" if m.c == 0 else "general"))
             inv = moebius_function(m.inverse())
             dinv = inv.derivative()
             got = moebius_pullback(R, m)
@@ -208,8 +220,34 @@ class TestMoebius:
             if e < -4:
                 shapes.add("L in the numerator")
         assert shapes >= {
-            "zero", "affine", "general", "polynomial", "deg N > deg D", "L in the numerator"
+            "zero", "affine", "general", "polynomial", "deg N > deg D", "L in the numerator",
+            "high degree, affine", "high degree, general",
         }
+
+    def test_pullback_bits_bounds_the_integers(self, rng):
+        # the bound the CLI checks before a pullback, against the integers
+        # the pullback then has, with small, fractional and 10^4-sized
+        # entries of m, and either power of L
+        shapes = set()
+        for i in range(600):
+            size = rng.choice((5, 10**4))
+            a, b, c, d = (
+                Q(rng.randint(-size, size), rng.choice((1, rng.randint(1, size))))
+                for _ in range(4)
+            )
+            if i % 3 == 0:
+                c = Q(0)
+            if a * d - b * c == 0:
+                continue
+            m = Moebius(a, b, c, d)
+            R = RatFunc(random_poly(rng, 3), random_poly(rng, 10, zero_ok=False))
+            assert height(moebius_pullback(R, m)).bit_length() <= pullback_bits(R, m)
+            shapes.add("affine" if c == 0 else "general")
+            shapes.add("e >= 0" if 4 + R.num.degree - R.den.degree >= 0 else "e < 0")
+            shapes.add(size)
+            if any(x.denominator > 1 for x in (a, b, c, d)):
+                shapes.add("fractional")
+        assert shapes >= {"affine", "general", "e >= 0", "e < 0", 5, 10**4, "fractional"}
 
 
 class TestCheckSolution:
@@ -307,7 +345,7 @@ def reference_recognize(R: RatFunc) -> TriangularRecognition:
         den = den // y
         a += 1
     b = 0
-    while b < 3 and den(Q(1)) == 0:
+    while b < 3 and den.at(1, 1)[0] == 0:
         den = den // ym1
         b += 1
     if den.degree != 0 or a > 2 or b > 2:
