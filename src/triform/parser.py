@@ -333,8 +333,8 @@ def _lower_binop(node, op: str, left: _Lowered, right: _Lowered) -> _Lowered:
         _check(node, "degree", a + c - 2 if op == "*" else max(a, c) - 1, MAX_DEGREE)
         if op != "/":
             result = _OPERATORS[op](left, right)
-        elif c > 1:  # a constant left needs no gcd
-            result = RatFunc(left, right) if a > 1 else _as_ratfunc(left) / _as_ratfunc(right)
+        elif c > 1:
+            result = RatFunc(left, right)
         elif c:  # a constant divisor n/m: multiply by m/n
             result = int_poly([x * right.den for x in left.ints], left.den * right.ints[0])
         else:

@@ -174,8 +174,6 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         a = self.ints
         n = len(b) - 1
-        if len(a) <= n:
-            return _ZERO, self
         lead = b[-1]
         if n == 0:
             return int_poly([x * other.den for x in a], self.den * lead), _ZERO
@@ -328,11 +326,7 @@ class RatFunc:
         if g.degree > 0:
             num = num // g
             den = den // g
-        lead = den.ints[-1]
-        if lead != den.den:  # num * den.den / lead over den made monic
-            num = int_poly([n * den.den for n in num.ints], num.den * lead)
-            den = den.monic()
-        self.num, self.den = num, den
+        self.num, self.den = monic_denominator(num, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -387,11 +381,6 @@ class RatFunc:
         c, d = other.num, other.den
         # only b = d gives a zero sum: 0/1 already when b = d = 1, else
         # caught in the common-factor case
-        if d.degree == 0:
-            # gcd(a + c*b, b) = gcd(a, b) = 1
-            return RatFunc._raw(a + c * b, b)
-        if b.degree == 0:
-            return RatFunc._raw(a * d + c, d)
         g = b.gcd(d)
         if g.degree == 0:
             return RatFunc._raw(a * d + c * b, b * d)
@@ -431,12 +420,7 @@ class RatFunc:
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero:
             raise ZeroDivisionError("division by zero RatFunc")
-        num, den = other.den, other.num
-        lead = den.ints[-1]
-        if lead != den.den:  # num * den.den / lead over den made monic
-            num = int_poly([n * den.den for n in num.ints], num.den * lead)
-            den = den.monic()
-        return self * RatFunc._raw(num, den)
+        return self * RatFunc._raw(*monic_denominator(other.den, other.num))
 
     def scale(self, c) -> "RatFunc":
         if c == 0:
@@ -453,17 +437,12 @@ class RatFunc:
 
     def derivative(self) -> "RatFunc":
         n, d = self.num, self.den
-        if d.degree == 0:
-            return RatFunc._raw(n.derivative(), _ONE)
         # with g = gcd(d, d'), s = d/g, t = d'/g:  (n/d)' = (n's - nt)/(ds).
         # A factor p^k of d leaves p exactly once in s and not at all in t
         # (characteristic 0), so p does not divide n's - nt: reduced.
         dp = d.derivative()
         g = d.gcd(dp)
-        if g.degree > 0:
-            s, t = d // g, dp // g
-        else:
-            s, t = d, dp
+        s, t = d // g, dp // g
         return RatFunc._raw(n.derivative() * s - n * t, d * s)
 
     # -- display ---------------------------------------------------------------
@@ -482,6 +461,15 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({str(self)!r})"
+
+
+def monic_denominator(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
+    """num/den (den nonzero) as a numerator over den made monic: the one
+    place where a denominator's lead moves into its numerator."""
+    lead = den.ints[-1]
+    if lead == den.den:
+        return num, den
+    return int_poly([n * den.den for n in num.ints], num.den * lead), den.monic()
 
 
 _RF_ZERO = RatFunc(_ZERO)
@@ -516,9 +504,9 @@ def rational_roots(p: Poly) -> List[Tuple]:
 
     Roots are returned in ascending order.  They are the roots of the
     square-free part f of p with y^k stripped: with a the leading numerator
-    of f, g(x) = a^(n-1) f(x/a) is monic with integer coefficients, and its
-    integer roots, a times those of f, are found by Hensel lifting, in time
-    polynomial in the bit size; each multiplicity by synthetic division.
+    of f, g(x) = a^(n-1) f(x/a) is monic with integer coefficients; Hensel
+    lifting gives candidates for its integer roots, a times those of f, in
+    time polynomial in the bit size, and synthetic division tests each.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every root")
@@ -540,7 +528,8 @@ def rational_roots(p: Poly) -> List[Tuple]:
         mult = 0
         while (h := deflate(ints, r.numerator, r.denominator)) is not None:
             ints, mult = h, mult + 1
-        roots.append((r, mult))
+        if mult:
+            roots.append((r, mult))
     roots.sort(key=lambda t: t[0])
     return roots
 
@@ -561,13 +550,13 @@ def deflate(f: List[int], p: int, q: int) -> Optional[List[int]]:
 
 
 def _integer_roots(g: List[int]) -> List[int]:
-    """Integer roots of a monic square-free integer polynomial g with
-    g(0) != 0 (coefficients ascending).
+    """Candidates, among them every integer root, for the integer roots
+    of a monic square-free integer polynomial g with g(0) != 0.
 
     Every integer root x has |x| <= max |g_i| (Cauchy).  Pick a prime p at
     which every root of g mod p is simple, lift each root to a root mod
-    m = p^(2^j) > 2 max |g_i| by Newton's step, and test the symmetric
-    representatives exactly."""
+    m = p^(2^j) > 2 max |g_i| by Newton's step, and return the symmetric
+    representatives; the caller tests each by synthetic division."""
     bound = max(abs(c) for c in g)
     dg = [i * c for i, c in enumerate(g) if i]
 
@@ -589,15 +578,7 @@ def _integer_roots(g: List[int]) -> List[int]:
     while m <= 2 * bound:
         m *= m
         cand = [(r - at(g, r, m) * pow(at(dg, r, m), -1, m)) % m for r in cand]
-    found = []
-    for r in cand:
-        x = r if 2 * r <= m else r - m
-        acc = 0
-        for c in reversed(g):
-            acc = acc * x + c
-        if acc == 0:
-            found.append(x)
-    return found
+    return [r if 2 * r <= m else r - m for r in cand]
 
 
 def linear_factorization(p: Poly) -> List[Tuple]:

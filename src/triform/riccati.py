@@ -29,13 +29,13 @@ operator maps y^j to the rows j - 2 ... j + deg(S^2) - 2, with top
 coefficient I(j), the indicial polynomial at infinity; so the linear system
 for P is triangular and banded, and P comes from a recurrence on integer
 pairs that fixes its coefficients one at a time from the top, each from
-the at most deg(S^2) coefficients above it.  The rows that no coefficient
-fixes, those below deg(S^2) - 2, the free row and the top row, are
-evaluated once at the end.  Where I has a second integer root k below d,
-p_k is a free constant; when no remaining equation fixes it, the solutions
-form a family with one movable constant, recorded in the search
-certificate with the representative p_k = 0, and its members are not
-enumerated.
+the at most deg(S^2) coefficients above it.  Where I has a second
+integer root k below d, p_k is a free constant and row k + deg(S^2) - 2,
+the free row, is fixed by no coefficient.  The rows that no coefficient
+fixes, those below deg(S^2) - 2 and the free row, are evaluated once at
+the end; when none of them fixes p_k, the solutions form a family with one
+movable constant, recorded in the search certificate with the
+representative p_k = 0, and its members are not enumerated.
 
 A candidate u = theta + P'/P is reduced from its structure, not by a gcd:
 a root c of P of multiplicity m at a pole moves into the residue e_c + m,
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .kimura import KimuraVerdict, decide_condition_ric
+from .kimura import KimuraVerdict, OddSumWitness, condition_two, decide_condition_ric
 from .polynomials import (
     NotSplitOverRationals,
     Poly,
@@ -241,12 +241,13 @@ def _solve_monic_polynomial(d: int, D: Poly, DA: Poly, DB: Poly):
 
     with each p_j kept as a reduced integer pair and the band's entries
     computed from the integers of D, DA and DB.  The rows that no pivot
-    fixes are evaluated once, at the end: the rows below deg D - 2, the
-    free row and the top row.  Then the free constant is fixed by the
-    highest of the rows below deg D - 2 on which its own column L(P_k) is
-    not zero; when there is none, the solutions form a family.  The answer
-    depends only on the solutions, so any polynomial multiple of the
-    operator gives the same one.
+    fixes are evaluated once, at the end: the rows below deg D - 2 and the
+    free row k + deg D - 2 of the free index k.  The free constant is fixed
+    by the highest of them on which its own column L(P_k) is not zero, for
+    P_k = y^k + lower terms, which is never the free row, and then every
+    one of them must vanish; when there is none, the solutions form a
+    family.  The answer depends only on the solutions, so any polynomial
+    multiple of the operator gives the same one.
     """
     n = D.degree
     shift = n - 2
@@ -294,25 +295,22 @@ def _solve_monic_polynomial(d: int, D: Poly, DA: Poly, DB: Poly):
     if (c2[n] * d + c1[n]) * d + c0[n]:
         return ("none", None)
     nums, dens, k = descend(d)
-    low = range(shift)  # the rows below deg D - 2
-    if k is None:
-        if any(row(nums, dens, i)[0] for i in low):
-            return ("none", None)
-        return ("unique", poly(nums, dens))
-    free_row = row(nums, dens, k + shift)[0] if k + shift >= 0 else 0
-    knums, kdens, _ = descend(k)
-    lk = [row(knums, kdens, i) for i in low]
-    fix = max((i for i in low if lk[i][0]), default=None)
+    # the rows no pivot fixed: those below deg D - 2 and the free row k + deg
+    # D - 2, where L(P_k) is lead(D) I(k) = 0 (a row below 0 reads 0 in row())
+    unfixed, fix = list(range(shift)), None
+    if k is not None:
+        unfixed.append(k + shift)
+        knums, kdens, _ = descend(k)
+        lk = {i: row(knums, kdens, i) for i in unfixed}
+        fix = max((i for i in unfixed if lk[i][0]), default=None)
     if fix is None:
-        if free_row or any(row(nums, dens, i)[0] for i in low):
+        if any(row(nums, dens, i)[0] for i in unfixed):
             return ("none", None)
-        return ("family", poly(nums, dens), 1)
-    if free_row:
-        return ("none", None)
-    # the top row of L(P_k) that is not zero fixes p_k = t
-    r = [Q(*row(nums, dens, i)) for i in low]
+        return ("unique", poly(nums, dens)) if k is None else ("family", poly(nums, dens), 1)
+    # the highest row where L(P_k) is not zero fixes p_k = t
+    r = {i: Q(*row(nums, dens, i)) for i in unfixed}
     t = -r[fix] / Q(*lk[fix])
-    if any(r[i] + t * Q(*lk[i]) for i in low):
+    if any(r[i] + t * Q(*lk[i]) for i in unfixed):
         return ("none", None)
     return ("unique", poly(nums, dens) + poly(knums, kdens).scale(t))
 
@@ -462,8 +460,7 @@ def _candidate(P: Poly, T: Poly, S: Poly, choice: Tuple, cofactors: List[Poly]) 
         if e + m == 0:
             dropped = dropped * Poly.linear(pole)
     P1 = int_poly([x * lift for x in ints], P.den)
-    if dropped.degree > 0:
-        T, S = T // dropped, S // dropped
+    T, S = T // dropped, S // dropped
     num, den = T * P1 + S * P1.derivative(), S * P1
     if num.is_zero:
         return RatFunc.zero()
@@ -532,26 +529,32 @@ class ConsistencyReport:
 def cross_check(p: TriangleParams, degree_bound: int = 24) -> ConsistencyReport:
     """Run the table decision and the rational oracle and compare.
 
-    CONTRADICTION means the table said "no algebraic solution" while the
-    oracle produced a rational one; this must never happen.  INCONCLUSIVE
-    means the oracle's search was cut by the degree bound, so it cannot
-    confirm the table.
+    A rational solution exists exactly when the monodromy is reducible, that
+    is when Kimura's condition 2 fires (Beukers and Heckman 1989).
+    CONTRADICTION means the oracle disagrees, as far as its search went;
+    this must never happen.  INCONCLUSIVE means the oracle's search was cut
+    by the degree bound, so it cannot confirm the table.
     """
     verdict = decide_condition_ric(p)
-    R = build_triangular_R(p)
-    oracle = rational_solutions(RiccatiEq(R), degree_bound)
-    if verdict.holds and oracle.found:
-        return ConsistencyReport(
-            p, verdict, oracle, CONTRADICTION,
-            "table reports no algebraic solution but a rational solution exists",
-        )
-    if not oracle.complete:
-        return ConsistencyReport(
-            p, verdict, oracle, INCONCLUSIVE,
+    oracle = rational_solutions(RiccatiEq(build_triangular_R(p)), degree_bound)
+    # condition 2, read off the verdict: only a condition-1 witness hides it
+    w = verdict.witness
+    two_fires = w is not None and (isinstance(w, OddSumWitness) or condition_two(p) is not None)
+    status = CONSISTENT
+    if oracle.found and not two_fires:
+        status = CONTRADICTION
+        note = "table reports no algebraic solution" if verdict.holds else "condition 2 does not fire"
+        note += " but a rational solution exists"
+    elif not oracle.complete:
+        status = INCONCLUSIVE
+        note = (
             f"oracle search cut at degree bound {degree_bound}: combos of higher "
-            "auxiliary degree were not searched",
+            "auxiliary degree were not searched"
         )
-    if not verdict.holds and not oracle.found:
+    elif two_fires and not oracle.found:
+        status = CONTRADICTION
+        note = "condition 2 fires but the complete search found no rational solution"
+    elif not verdict.holds and not oracle.found:
         note = (
             "witness fired but no rational solution: an algebraic solution of "
             "degree >= 2 is possible (rational branch is exhaustive)"
@@ -560,4 +563,4 @@ def cross_check(p: TriangleParams, degree_bound: int = 24) -> ConsistencyReport:
         note = "witness fired and a rational solution confirms it"
     else:
         note = "no witness and no rational solution"
-    return ConsistencyReport(p, verdict, oracle, CONSISTENT, note)
+    return ConsistencyReport(p, verdict, oracle, status, note)

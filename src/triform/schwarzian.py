@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .polynomials import Poly, RatFunc, height, int_poly
+from .polynomials import Poly, RatFunc, height, int_poly, monic_denominator
 from .scalars import INF, ExtRational, Q, Refused, ZeroParameter, parse_q, rational_sqrt
 
 
@@ -253,8 +253,8 @@ def moebius_pullback(R: RatFunc, m: Moebius) -> RatFunc:
     num = _homogenize_ints(N.ints, x, inv)
     den = int_poly(_homogenize_ints(D.ints, x + 4, inv), 1)  # strips the zeros on top
     # R = N.ints D.den / (D.ints N.den), and num/den carries c^-4 when c != 0
-    factor, lead = det**2 * D.den * (c**4 or 1), den.ints[-1]
-    return RatFunc._raw(int_poly([v * factor for v in num], N.den * lead), den.monic())
+    factor = det**2 * D.den * (c**4 or 1)
+    return RatFunc._raw(*monic_denominator(int_poly([v * factor for v in num], N.den), den))
 
 
 def _homogenize_ints(f, n: int, inv) -> List[int]:

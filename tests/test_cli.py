@@ -166,6 +166,34 @@ class TestAnalyze:
         assert code == 3
         assert doc["oracle"]["consistency"] == "CONTRADICTION"
 
+    FIRES_NONE = "condition 2 fires but the complete search found no rational solution"
+
+    @pytest.mark.parametrize(
+        "triangle, note",
+        [
+            # condition 2 fires, on 2,2,inf behind a condition-1 witness: the
+            # mutant oracle drops the one rational solution of the triangle
+            ("2,3,6", FIRES_NONE),
+            ("2,2,inf", FIRES_NONE),
+            # condition 2 does not fire: the mutant oracle adds u = 0
+            ("2,3,4", "condition 2 does not fire but a rational solution exists"),
+            ("2,3,7", "table reports no algebraic solution but a rational solution exists"),
+        ],
+    )
+    def test_oracle_against_condition_two_exits_3(self, monkeypatch, triangle, note):
+        real = riccati.rational_solutions
+
+        def mutant(e, degree_bound=24):
+            result = real(e, degree_bound)
+            assert result.complete and len(result.solutions) <= 1
+            solutions = () if result.found else (RatFunc.zero(),)
+            return dataclasses.replace(result, solutions=solutions)
+
+        monkeypatch.setattr(riccati, "rational_solutions", mutant)
+        code, doc = run_json(["analyze", "--triangle", triangle, "--oracle"])
+        assert code == 3
+        assert doc["oracle"]["consistency"] == "CONTRADICTION" and doc["oracle"]["note"] == note
+
 
 class TestRefused:
     """Exit 2 is exactly a triform.Refused, raised by the layer that rejects

@@ -98,6 +98,11 @@ class TestRationalRoots:
         ):
             p = math.prod((Poly.linear(r) ** m for r, m in roots.items()), start=Poly.const(3))
             assert rational_roots(p) == sorted(roots.items())
+        # (y - 1)(y^2 - 6y - 6): Hensel lifting mod 7^2 also gives -5 and 11,
+        # which synthetic division finds to be no roots
+        p = Poly.linear(1) * Poly((-6, -6, 1))
+        assert sorted(polynomials._integer_roots(list(p.ints))) == [-5, 1, 11]
+        assert rational_roots(p) == [(Q(1), 1)]
 
     def test_lift_reaches_twice_the_root_bound(self):
         # y - r lifts from 3 through 9, 81, 6561, ...; the residue mod m

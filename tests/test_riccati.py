@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from triform import riccati
+from triform.kimura import condition_two, hyperbolic_integer_triples
 from triform.parser import parse_ratfunc
 from triform.polynomials import Poly, RatFunc
 from triform.riccati import (
@@ -192,6 +193,30 @@ class TestCrossCheck:
         assert cross_check(p, degree_bound=1).status == CONSISTENT
         # 1,inf,inf has its solution at deg P = 0: nothing is cut
         assert cross_check(TriangleParams.parse("1,inf,inf"), degree_bound=0).status == CONSISTENT
+
+    def test_rational_solution_exactly_when_condition_two_fires(self):
+        # a rational solution exists exactly when the monodromy is
+        # reducible, which is condition 2 (Beukers and Heckman 1989): on
+        # seeded inverses n/d, d <= 12, |n| <= 2d (inf for n = 0), and on
+        # the bound-30 sweep, every search is complete and agrees with it
+        rng = random.Random(2209)
+
+        def slot():
+            d = rng.randint(1, 12)
+            n = rng.randint(-2 * d, 2 * d)
+            return "inf" if n == 0 else str(Q(d, n))
+
+        sample = [TriangleParams.parse(",".join(slot() for _ in range(3))) for _ in range(4000)]
+        fired = Counter()
+        for p in [*sample, *hyperbolic_integer_triples(30)]:
+            report = cross_check(p, degree_bound=60)
+            assert report.status == CONSISTENT and report.oracle.complete, (str(p), report.note)
+            two = condition_two(p) is not None
+            assert report.oracle.found == two, str(p)
+            w = report.verdict.witness
+            fired[two, w and w.condition] += 1
+        # both conditions, each alone, and neither all occur
+        assert min(fired[k] for k in ((True, 1), (True, 2), (False, 1), (False, None))) >= 20, fired
 
 
 def random_big_q(rng, den_digits, num_digits=30):
@@ -504,6 +529,12 @@ def test_solver_matches_gauss_jordan_reference(monkeypatch):
             u = u + RatFunc(Poly((rng.choice((Q(2), Q(-1), Q(1, 2))),)), Poly.linear(i))
         rational_solutions(RiccatiEq((u.derivative() + u * u).scale(Q(-2))))
     assert seen["unique"] >= 10 and seen["none"] >= 100, seen
+    # the free row alone decides: D = y^2 + y, DB = 0 and DA = 1 - y or -y
+    # give I(j) = j^2 - 2j, so p_0 is free and no row lies below deg D - 2;
+    # the free row 0 reads DA(0) p_1, which is 4 for DA = 1 - y
+    D = Poly((0, 1, 1))
+    assert checked(2, D, Poly((1, -1)), Poly.zero()) == ("none", None)
+    assert checked(2, D, Poly((0, -1)), Poly.zero()) == ("family", Poly((0, 2, 1)), 1)
 
 
 def test_each_distinct_candidate_is_substituted_once(monkeypatch):
