@@ -99,9 +99,9 @@ MAX_A0_WORK = 400_000
 # triples, in a fresh process on a 2-core x86-64 with Python 3.11: the plain
 # sweep takes 2.8-3.2 s in 17 MiB, --cross-check 73-88 s in 17 MiB (past the
 # 60 s criterion 4 allows the bound-100 cross-check), and --full 4.0-4.8 s
-# in text and 5.5-6.6 s with --json, for its 113 MB of output, in
-# 18.5-18.7 MiB.  200 lets the plain sweep, the paper's check, reach twice
-# criterion 1's bound.
+# in text and 3.4-3.9 s with --json (4 runs, output to /dev/null), for its
+# 113 MB of output, in 18.3-18.7 MiB.  200 lets the plain sweep, the
+# paper's check, reach twice criterion 1's bound.
 MAX_SWEEP_BOUND = 200
 
 
@@ -369,16 +369,16 @@ def _check_out(path: str) -> None:
 
 
 def _emit(doc: dict, args, out, code: int = 0, table=None) -> int:
-    """Write doc as JSON or text and return the exit code.
+    """Write doc as JSON (by _json) or text and return the exit code.
 
     A table, an iterable of (triangle, outcome) rows, is written row by row
-    as doc's trailing "table" field, in the bytes that json.dumps or _human
-    would give for doc holding the list of rows, without building either.
+    as doc's trailing "table" field, in the bytes that _json or _human would
+    give for doc holding the list of rows, without building either.
     """
     if not args.json:
         chunks = (line + "\n" for line in _human(doc, table or ()))
     elif table is None:
-        chunks = (json.dumps(doc, indent=2, sort_keys=False), "\n")
+        chunks = (_json(doc), "\n")
     else:
         chunks = _json_with_table(doc, table)
     if args.out:
@@ -394,16 +394,48 @@ def _emit(doc: dict, args, out, code: int = 0, table=None) -> int:
     return code
 
 
+_quote = json.encoder.encode_basestring_ascii  # json.dumps(str), the C escaper
+
+
+def _json(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2) for the document shapes (dict, list, str,
+    int, bool and None), nested at the line break and indent pad.  json
+    encodes in pure Python whenever indent is set; this does the same walk
+    with the C string escaper and int.__repr__."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_with_table(doc: dict, table):
-    """json.dumps(doc, indent=2) of doc with its "table" list appended, in
-    pieces: the head, then one piece per row."""
-    head = json.dumps(doc, indent=2, sort_keys=False)
-    yield head[: -len("\n}")] + ',\n  "table": ['
+    """_json(doc) with its "table" list appended, in pieces: the head, then
+    one piece per row; each distinct outcome is escaped once."""
+    yield _json(doc)[: -len("\n}")] + ',\n  "table": ['
+    quoted = {}
     sep = "\n"
     for triangle, outcome in table:
+        text = quoted.get(outcome) or quoted.setdefault(outcome, _quote(outcome))
         yield (
-            f'{sep}    {{\n      "triangle": {json.dumps(triangle)},\n'
-            f'      "outcome": {json.dumps(outcome)}\n    }}'
+            f'{sep}    {{\n      "triangle": {_quote(triangle)},\n'
+            f'      "outcome": {text}\n    }}'
         )
         sep = ",\n"
     yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
@@ -459,25 +491,51 @@ def _human(doc: dict, table=()):
         yield f"             [{c}]"
 
 
-def _add_common(sub, with_input=True):
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
-    sub.add_argument(
-        "--degree-bound",
-        type=int,
-        default=24,
-        help="oracle polynomial degree cap (default 24)",
-    )
-    if with_input:
-        sub.add_argument(
-            "--triangle", metavar="A,B,C", help="parameters, e.g. 2,3,7 or 1,inf,inf"
-        )
-        sub.add_argument("--expr", metavar="EXPR", help="coefficient function R(y)")
-        sub.add_argument(
-            "--moebius",
-            metavar="A,B,C,D",
-            help="pre-apply the change of variable z = (Ay+B)/(Cy+D)",
-        )
+# Each verb's options, in the order --help lists them: (option, type,
+# default, metavar, help), with type bool for a store_true flag.  Both
+# build_arg_parser and the argv reader read this table.
+_COMMON = (
+    ("--json", bool, False, None, "machine-readable output"),
+    ("--out", str, None, "FILE", "write output to FILE"),
+    ("--degree-bound", int, 24, None, "oracle polynomial degree cap (default 24)"),
+)
+_INPUT = (
+    ("--triangle", str, None, "A,B,C", "parameters, e.g. 2,3,7 or 1,inf,inf"),
+    ("--expr", str, None, "EXPR", "coefficient function R(y)"),
+    ("--moebius", str, None, "A,B,C,D", "pre-apply the change of variable z = (Ay+B)/(Cy+D)"),
+)
+_VERBS = {
+    "analyze": (
+        cmd_analyze,
+        "full verdict pipeline",
+        _COMMON + _INPUT + (("--oracle", bool, False, None, "also run the rational oracle"),),
+    ),
+    "sweep": (
+        cmd_sweep,
+        "decide all hyperbolic integer triples",
+        _COMMON + (
+            ("--bound", int, 100, None, "largest finite entry"),
+            ("--full", bool, False, None, "include the full table"),
+            (
+                "--cross-check", bool, False, None,
+                "also run the rational oracle on every triple and compare",
+            ),
+        ),
+    ),
+    "series-check": (
+        cmd_series_check,
+        "Puiseux leading-term analysis",
+        _COMMON + _INPUT + (
+            ("--lambda0", str, None, "P/Q", "leading exponent"),
+            ("--a0", str, None, "EXPR", "leading coefficient"),
+            (
+                "--truncation", int, -5, None,
+                "series cutoff exponent, at most 0 (default -5)",
+            ),
+        ),
+    ),
+    "oracle": (cmd_oracle, "rational Riccati solutions", _COMMON + _INPUT),
+}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -490,36 +548,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    a = sub.add_parser("analyze", help="full verdict pipeline")
-    _add_common(a)
-    a.add_argument("--oracle", action="store_true", help="also run the rational oracle")
-    a.set_defaults(func=cmd_analyze)
-
-    s = sub.add_parser("sweep", help="decide all hyperbolic integer triples")
-    _add_common(s, with_input=False)
-    s.add_argument("--bound", type=int, default=100, help="largest finite entry")
-    s.add_argument("--full", action="store_true", help="include the full table")
-    s.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="also run the rational oracle on every triple and compare",
-    )
-    s.set_defaults(func=cmd_sweep)
-
-    c = sub.add_parser("series-check", help="Puiseux leading-term analysis")
-    _add_common(c)
-    c.add_argument("--lambda0", metavar="P/Q", default=None, help="leading exponent")
-    c.add_argument("--a0", metavar="EXPR", default=None, help="leading coefficient")
-    c.add_argument(
-        "--truncation", type=int, default=-5, help="series cutoff exponent, at most 0 (default -5)"
-    )
-    c.set_defaults(func=cmd_series_check)
-
-    o = sub.add_parser("oracle", help="rational Riccati solutions")
-    _add_common(o)
-    o.set_defaults(func=cmd_oracle)
-
+    for verb, (func, summary, options) in _VERBS.items():
+        v = sub.add_parser(verb, help=summary)
+        for option, kind, default, metavar, text in options:
+            if kind is bool:
+                v.add_argument(option, action="store_true", help=text)
+            else:
+                v.add_argument(option, type=kind, default=default, metavar=metavar, help=text)
+        v.set_defaults(func=func)
     return ap
 
 
@@ -530,9 +566,70 @@ def _arg_parser() -> argparse.ArgumentParser:
     return build_arg_parser()
 
 
+@functools.lru_cache(maxsize=1)
+def _option_reader() -> dict:
+    """Per verb, the Namespace fields before any option ({"command", "func"}
+    and each option's default) and {option: (field, type)}, from _VERBS."""
+    reader = {}
+    for verb, (func, _, options) in _VERBS.items():
+        defaults = {"command": verb, "func": func}
+        fields = {}
+        for option, kind, default, _, _ in options:
+            field = option[2:].replace("-", "_")
+            defaults[field] = default
+            fields[option] = (field, kind)
+        reader[verb] = (defaults, fields)
+    return reader
+
+
+def _read_argv(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The Namespace parse_args gives for argv, read straight off _VERBS, or
+    None for argv that only argparse may answer.
+
+    Read: a verb, then exact option strings, each a store_true flag without
+    "=", or --opt=value, or --opt value with a value not starting with "-",
+    where an int value converts; the last of a repeated option wins.
+    Everything else is None, so that argparse writes every usage, help and
+    error message: no verb or an unknown one, an abbreviation, -h, "--", a
+    missing or "-"-led value, --opt=--, --flag=x, a failed int."""
+    verb = _option_reader().get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    defaults, fields = verb
+    values = dict(defaults)
+    i, n = 1, len(argv)
+    while i < n:
+        option, eq, value = argv[i].partition("=")
+        spec = fields.get(option)
+        if spec is None:
+            return None
+        field, kind = spec
+        if kind is bool:
+            if eq:
+                return None
+            values[field] = True
+        else:
+            if not eq:
+                i += 1
+                if i == n or argv[i].startswith("-"):
+                    return None
+                value = argv[i]
+            elif value == "--":  # argparse drops a "--" even after "="
+                return None
+            try:
+                values[field] = kind(value)  # as argparse converts it
+            except ValueError:
+                return None
+        i += 1
+    return argparse.Namespace(**values)
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        args = _arg_parser().parse_args(argv)
     try:
         if args.degree_bound < 0:
             raise Refused("--degree-bound must be nonnegative")

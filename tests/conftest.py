@@ -1,15 +1,33 @@
-"""Shared generators for randomized exact-arithmetic tests.
+"""Shared generators for randomized exact-arithmetic tests, and a check
+that the CLI's JSON writer matches json.dumps in every test.
 
 Everything is seeded, so failures reproduce; hypothesis is used where a
 shrinkable counterexample is worth more than raw volume.
 """
 
+import json
 import random
 
 import pytest
 
+import triform.cli as cli
 from triform.polynomials import Poly, RatFunc
 from triform.scalars import Q
+
+
+@pytest.fixture(autouse=True)
+def json_writer_matches_json_dumps(monkeypatch):
+    """Every document the CLI writes in any test is also encoded by
+    json.dumps(doc, indent=2), and the bytes must be the same."""
+    write = cli._json
+
+    def checked(value, pad="\n"):
+        text = write(value, pad)
+        if pad == "\n":  # a whole document, not a nested value
+            assert text == json.dumps(value, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "_json", checked)
 
 
 def random_poly(rng: random.Random, max_deg: int = 3, zero_ok: bool = True) -> Poly:

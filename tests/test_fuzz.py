@@ -13,6 +13,7 @@ import io
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import triform.cli as cli
 from triform.cli import main
 from triform.schwarzian import TriangleParams, build_triangular_R
 
@@ -133,3 +134,88 @@ def test_series_check(source, lambda0, a0, truncation):
 @given(st.integers(-3, 14), st.booleans())
 def test_sweep_bound(bound, cross_check):
     assert_clean(["sweep", f"--bound={bound}", *(["--cross-check"] if cross_check else [])])
+
+
+# The argv reader answers a command line of exact options without argparse
+# and hands every other one to argparse; either way the command must see
+# the Namespace, or the exit code and messages, of a freshly built parser.
+OPTIONS = sorted({opt for _, _, options in cli._VERBS.values() for opt, *_ in options})
+option_strings = st.one_of(
+    st.sampled_from(OPTIONS),
+    # prefixes, from "--" up: abbreviations, ambiguous or not
+    st.sampled_from(OPTIONS).flatmap(lambda o: st.integers(2, len(o) - 1).map(lambda k: o[:k])),
+    st.sampled_from(["-h", "--help", "--", "-x", "--bogus", "--json-"]),
+)
+values = st.one_of(
+    st.integers(-30, 300).map(str),
+    st.sampled_from(
+        ["", " ", "x", "-", "--", "-h", "2,3,7", "-1,0,0,1", "-1/2", "1/2", "1_0", " 7", "+3",
+         "0x1f", "٣", "1" * 4301, "y=1", "inf", "--json", "analyze"]
+    ),
+    st.text(alphabet="-=0123456789xy,/ h", max_size=8),
+)
+any_piece = st.one_of(
+    st.tuples(option_strings, values).map(list),
+    st.tuples(option_strings, values).map(lambda t: ["=".join(t)]),
+    option_strings.map(lambda o: [o]),
+    values.map(lambda v: [v]),
+)
+
+
+def _well_formed(option, kind):
+    """option as the reader takes it: a flag alone, or a value that
+    converts, after the option or after =."""
+    if kind is bool:
+        return st.just([option])
+    value = st.integers(-30, 300).map(str) if kind is int else values
+    return st.one_of(
+        value.filter(lambda v: not v.startswith("-")).map(lambda v: [option, v]),
+        value.map(lambda v: [f"{option}={v}"]),
+    )
+
+
+def _verb_argvs(verb):
+    """verb, then mostly its own options, well formed or with any value,
+    among any other pieces."""
+    options = cli._VERBS[verb][2]
+    well_formed = st.one_of([_well_formed(option, kind) for option, kind, *_ in options])
+    own = st.sampled_from([option for option, *_ in options]).flatmap(
+        lambda o: st.one_of(
+            st.just([o]),
+            st.tuples(st.just(o), values).map(list),
+            values.map(lambda v: [f"{o}={v}"]),
+        )
+    )
+    pieces = st.lists(st.one_of(well_formed, well_formed, own, any_piece), max_size=6)
+    return pieces.map(lambda ps: [verb] + [token for piece in ps for token in piece])
+
+
+argvs = st.one_of(
+    st.sampled_from(list(cli._VERBS)).flatmap(_verb_argvs),
+    st.sampled_from(list(cli._VERBS)).flatmap(_verb_argvs),
+    st.lists(any_piece, max_size=4).map(lambda ps: [token for piece in ps for token in piece]),
+)
+
+
+def parse_outcome(parse, argv):
+    """("namespace", ns), or ("exit", code, stdout, stderr) when argparse
+    printed help or an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return ("namespace", parse(argv))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+@settings(FUZZ, max_examples=500)
+@given(argvs)
+def test_argv_reader_agrees_with_argparse(argv):
+    fresh = parse_outcome(cli.build_arg_parser().parse_args, argv)
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert fresh == ("namespace", read), argv
+    elif fresh[0] == "namespace":  # main falls back to the one cached parser
+        assert parse_outcome(cli._arg_parser().parse_args, argv) == fresh, argv
+    else:  # main exits as argparse does, with the same messages
+        assert parse_outcome(main, argv) == fresh, argv
