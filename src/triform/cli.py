@@ -257,7 +257,7 @@ def _table_rows(bound: int, holds: bytearray):
     outcomes = (ALGEBRAIC_SOLUTION_INDICATED, kimura.CONDITION_RIC_HOLDS)
     slot = ["", "inf"] + [str(n) for n in range(2, bound + 1)]  # by denominator
     for p, h in zip(kimura.hyperbolic_integer_triples(bound), holds, strict=True):
-        (_, a), (_, b), (_, c) = p.inverse_pairs()
+        (_, a), (_, b), (_, c) = p.pairs
         yield f"({slot[a]},{slot[b]},{slot[c]})", outcomes[h]
 
 
@@ -628,9 +628,12 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
-    if args is None:
-        args = _arg_parser().parse_args(argv)
     try:
+        if args is None:
+            args = _arg_parser().parse_args(argv)
+            for field, value in vars(args).items():
+                if value == []:  # argparse drops a "--" even after "=": --opt=-- is []
+                    raise Refused(f"bad --{field.replace('_', '-')} value: '--' is not a value")
         if args.degree_bound < 0:
             raise Refused("--degree-bound must be nonnegative")
         if args.out:

@@ -16,10 +16,10 @@ the four sums, the Riccati equation has no algebraic solution over the
 algebraic closure of C(y) ("condition Ric holds") and the Schwarzian
 equation has no order-two differential subvarieties.
 
-The decision runs on integer pairs: each x_i is read once as the reduced
-pair (n, d) that TriangleParams.inverse_pairs keeps, its residue modulo Z
-is (n % d, d), and the sums are taken over the lcm of the denominators.
-Only verify_witness, the independent replay, works on Fraction values.
+The decision runs on integer pairs: each x_i is the reduced pair (n, d)
+of TriangleParams.pairs, its residue modulo Z is (n % d, d), and the sums
+are taken over the lcm of the denominators.  Only verify_witness, the
+independent replay, works on Fraction values.
 
 Two gates on the reduced denominators d0, d1, d2 settle most triples before
 any search:
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator, List, Optional, Tuple, Union
 
-from .scalars import INF, ExtRational, Q
+from .scalars import Q
 from .schwarzian import TriangleParams
 
 CONDITION_RIC_HOLDS = "ConditionRicHolds"
@@ -162,24 +162,18 @@ _RESIDUE_MATCHES = {
 }
 _NO_MATCH: frozenset = frozenset()
 
-_Pairs = Tuple[Tuple[int, int], ...]
-
 
 def condition_one(p: TriangleParams) -> Optional[LatticeWitness]:
-    """Exhaustive search of the table; first witness by (row, perm, signs)."""
-    return _condition_one(p.inverse_pairs())
+    """Exhaustive search of the table; first witness by (row, perm, signs).
 
-
-def _condition_one(pairs: _Pairs) -> Optional[LatticeWitness]:
-    """condition_one on the inverse pairs (n, d).
-
-    A row is tried only if the residues (n % d, d) hit every fraction it
-    needs.  A slot holding q matches sign * x exactly when x has the
-    residue of sign * q, and then sign * x - q = (sign * n - num(q)) / d
-    is an integer; the sign patterns run in itertools.product((1, -1))
-    order, restricted to the signs under which each slot matches.
+    It runs on the inverse pairs (n, d), and a row is tried only if the
+    residues (n % d, d) hit every fraction it needs.  A slot holding q
+    matches sign * x exactly when x has the residue of sign * q, and then
+    sign * x - q = (sign * n - num(q)) / d is an integer; the sign patterns
+    run in itertools.product((1, -1)) order, restricted to the signs under
+    which each slot matches.
     """
-    (n0, d0), (n1, d1), (n2, d2) = pairs
+    (n0, d0), (n1, d1), (n2, d2) = pairs = p.pairs
     residues = ((n0 % d0, d0), (n1 % d1, d1), (n2 % d2, d2))
     get = _RESIDUE_MATCHES.get
     matched = get(residues[0], _NO_MATCH) | get(residues[1], _NO_MATCH) | get(residues[2], _NO_MATCH)
@@ -216,17 +210,12 @@ def _condition_one(pairs: _Pairs) -> Optional[LatticeWitness]:
 
 def condition_two(p: TriangleParams) -> Optional[OddSumWitness]:
     """First of the four single-flip sums +-x0 + x1 + x2 that is an odd
-    integer, if any."""
-    return _condition_two(p.inverse_pairs())
+    integer, if any.
 
-
-def _condition_two(pairs: _Pairs) -> Optional[OddSumWitness]:
-    """condition_two on the inverse pairs (n, d).
-
-    Over the common denominator D of the inverses, a sum is an odd integer
-    exactly when its numerator is an odd multiple of D.  The sums run in
-    the order (1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)."""
-    (n0, d0), (n1, d1), (n2, d2) = pairs
+    Over the common denominator D of the inverse pairs (n, d), a sum is an
+    odd integer exactly when its numerator is an odd multiple of D.  The
+    sums run in the order (1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)."""
+    (n0, d0), (n1, d1), (n2, d2) = p.pairs
     D = math.lcm(d0, d1, d2)
     n0, n1, n2 = n0 * (D // d0), n1 * (D // d1), n2 * (D // d2)
     D2 = 2 * D
@@ -282,16 +271,15 @@ def decide_condition_ric(p: TriangleParams) -> KimuraVerdict:
     denominator gate (see the module docstring) showed that a search could
     find nothing.
     """
-    pairs = p.inverse_pairs()
-    (_, d0), (_, d1), (_, d2) = pairs
+    (_, d0), (_, d1), (_, d2) = p.pairs
     dens = _TABLE_DENOMINATORS
     if (d0 in dens) + (d1 in dens) + (d2 in dens) >= 2:
-        w = _condition_one(pairs)
+        w = condition_one(p)
         if w is not None:
             return KimuraVerdict(ALGEBRAIC_SOLUTION_INDICATED, w)
     if d0 * d1 % d2 or d0 * d2 % d1 or d1 * d2 % d0:
         return _HOLDS
-    w = _condition_two(pairs)
+    w = condition_two(p)
     if w is None:
         return _HOLDS
     return KimuraVerdict(ALGEBRAIC_SOLUTION_INDICATED, w)
@@ -305,19 +293,17 @@ def hyperbolic_integer_triples(bound: int) -> Iterator[TriangleParams]:
     that is c * (ab - a - b) > ab, so for each a <= b the admissible c form
     a tail of the range, and c = inf is admissible when ab - a - b > 0.
     """
-    slots = [None, None] + [(ExtRational.of(n), (1, n)) for n in range(2, bound + 1)]
-    zero = (0, 1)
-    make = TriangleParams._with_inverses
+    zero = (0, 1)  # 1/inf; 1/n is (1, n)
+    make = TriangleParams._from_pairs
     for a in range(2, bound + 1):
-        ea, ia = slots[a]
+        ia = (1, a)
         for b in range(a, bound + 1):
-            eb, ib = slots[b]
+            ib = (1, b)
             s = a * b - a - b
             if s <= 0:  # 1/a + 1/b >= 1: no c, not even inf
                 continue
             for c in range(max(b, a * b // s + 1), bound + 1):
-                ec, ic = slots[c]
-                yield make(ea, eb, ec, (ia, ib, ic))
-            yield make(ea, eb, INF, (ia, ib, zero))
-        yield make(ea, INF, INF, (ia, zero, zero))
-    yield make(INF, INF, INF, (zero, zero, zero))
+                yield make((ia, ib, (1, c)))
+            yield make((ia, ib, zero))
+        yield make((ia, zero, zero))
+    yield make((zero, zero, zero))

@@ -7,7 +7,7 @@ at their edge.
 
 ExtRational adds the single extra point "infinity" used for triangle
 parameters: 1/inf = 0 and 1/q is q's inverse, both given as a reduced
-integer pair (numerator, denominator > 0); 1/0 is an error.
+integer pair (numerator, denominator > 0); 1/0 raises ZeroParameter.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class ExtRational:
             return (0, 1)
         n, d = v.numerator, v.denominator
         if n == 0:
-            raise ZeroDivisionError("0 has no inverse")
+            raise ZeroParameter("triangle parameter 0 has no inverse")
         return (d, n) if n > 0 else (-d, -n)
 
     def __str__(self) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .polynomials import Poly, RatFunc, height, int_poly, monic_denominator
-from .scalars import INF, ExtRational, Q, Refused, ZeroParameter, parse_q, rational_sqrt
+from .scalars import INF, ExtRational, Q, Refused, parse_q, rational_sqrt
 
 
 class NotTriangular(ValueError):
@@ -34,18 +34,28 @@ class SingularMoebius(Refused):
     """Moebius map with ad - bc = 0."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TriangleParams:
-    """Ordered parameter triple; each slot is infinity or a nonzero rational."""
+    """Ordered parameter triple (alpha, beta, gamma); each slot is infinity or
+    a nonzero rational.
 
-    alpha: ExtRational
-    beta: ExtRational
-    gamma: ExtRational
+    Its one stored form is pairs, the inverses (1/alpha, 1/beta, 1/gamma) as
+    reduced pairs (n, d) with d > 0, and 1/inf = (0, 1).  As x -> 1/x is a
+    bijection on the nonzero rationals and inf, the pairs give the same ==
+    and hash as the slots, and alpha, beta and gamma are views of them."""
 
-    def __post_init__(self):
-        for slot in (self.alpha, self.beta, self.gamma):
-            if not slot.is_infinite and slot.value == 0:
-                raise ZeroParameter("triangle parameter 0 has no inverse")
+    pairs: Tuple[Tuple[int, int], ...]
+
+    def __init__(self, alpha: ExtRational, beta: ExtRational, gamma: ExtRational):
+        pairs = (alpha.inverse_pair(), beta.inverse_pair(), gamma.inverse_pair())
+        object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def _from_pairs(cls, pairs) -> "TriangleParams":
+        """Trusted constructor: pairs already in the stored form."""
+        self = object.__new__(cls)
+        self.__dict__["pairs"] = pairs
+        return self
 
     @staticmethod
     def of(a, b, c) -> "TriangleParams":
@@ -58,36 +68,28 @@ class TriangleParams:
             raise Refused(f"expected three comma-separated parameters, got {text!r}")
         return TriangleParams(*(ExtRational.parse(p) for p in parts))
 
-    @classmethod
-    def _with_inverses(cls, alpha, beta, gamma, pairs) -> "TriangleParams":
-        """Trusted constructor: nonzero slots whose inverse pairs are known."""
-        self = object.__new__(cls)
-        d = self.__dict__  # item assignments: faster than update(**fields)
-        d["alpha"], d["beta"], d["gamma"], d["_pairs"] = alpha, beta, gamma, pairs
-        return self
-
-    def inverse_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """(1/alpha, 1/beta, 1/gamma) as reduced pairs (n, d) with d > 0, and
-        1/inf = (0, 1).  Computed once and kept on the instance, outside the
-        dataclass fields, so it takes no part in __eq__, __hash__ or repr."""
-        pairs = self.__dict__.get("_pairs")
-        if pairs is None:
-            pairs = (self.alpha.inverse_pair(), self.beta.inverse_pair(), self.gamma.inverse_pair())
-            object.__setattr__(self, "_pairs", pairs)
-        return pairs
+    alpha = property(lambda self: _slot(self.pairs[0]))
+    beta = property(lambda self: _slot(self.pairs[1]))
+    gamma = property(lambda self: _slot(self.pairs[2]))
 
     def inverses(self) -> Tuple:
         """(1/alpha, 1/beta, 1/gamma) as Q values, with 1/inf = 0."""
-        return tuple(Q(n, d) for n, d in self.inverse_pairs())
+        return tuple(Q(n, d) for n, d in self.pairs)
 
     @property
     def is_hyperbolic(self) -> bool:
-        (na, da), (nb, db), (nc, dc) = self.inverse_pairs()
+        (na, da), (nb, db), (nc, dc) = self.pairs
         # 1/alpha + 1/beta + 1/gamma < 1, over the denominator da * db * dc > 0
         return na * db * dc + nb * da * dc + nc * da * db < da * db * dc
 
     def __str__(self) -> str:
-        return f"({self.alpha},{self.beta},{self.gamma})"
+        return "({},{},{})".format(*map(_slot, self.pairs))
+
+
+def _slot(pair: Tuple[int, int]) -> ExtRational:
+    """The parameter whose inverse is the pair (n, d): inf for n = 0, else d/n."""
+    n, d = pair
+    return INF if n == 0 else ExtRational(Q(d, n))
 
 
 _TRI_DEN = Poly((0, 0, 1, -2, 1))  # y^2 (y - 1)^2
@@ -107,7 +109,7 @@ def _build_from_inverse_squares(A: int, B: int, C: int, L: int) -> RatFunc:
 
 def build_triangular_R(p: TriangleParams) -> RatFunc:
     """The triangular coefficient function for parameter triple p."""
-    (na, da), (nb, db), (nc, dc) = p.inverse_pairs()
+    (na, da), (nb, db), (nc, dc) = p.pairs
     m = math.lcm(da, db, dc)
     # each inverse squared over the common denominator m^2
     A, B, C = (na * (m // da)) ** 2, (nb * (m // db)) ** 2, (nc * (m // dc)) ** 2

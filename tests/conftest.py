@@ -30,6 +30,11 @@ def json_writer_matches_json_dumps(monkeypatch):
     monkeypatch.setattr(cli, "_json", checked)
 
 
+def rf(num, den=(1,)) -> RatFunc:
+    """The RatFunc num/den from coefficient lists, constant term first."""
+    return RatFunc(Poly(num), Poly(den))
+
+
 def random_poly(rng: random.Random, max_deg: int = 3, zero_ok: bool = True) -> Poly:
     deg = rng.randint(0, max_deg)
     coeffs = [Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg + 1)]

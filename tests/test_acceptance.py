@@ -37,7 +37,7 @@ from triform.schwarzian import (
     recognize_triangular,
 )
 
-from conftest import random_nonconstant_ratfunc, random_ratfunc
+from conftest import random_nonconstant_ratfunc, random_ratfunc, rf
 from reference import (
     PuiseuxSeries,
     check_solution,
@@ -53,10 +53,6 @@ from test_schwarzian import random_moebius
 
 BOUND = 100
 DATA = pathlib.Path(__file__).parent / "data"
-
-
-def rf(num, den=(1,)):
-    return RatFunc(Poly(num), Poly(den))
 
 
 def test_criterion_1_hyperbolic_sweep_holds():

@@ -245,6 +245,26 @@ class TestRefused:
         option = argv[1].split("=")[0]
         assert capsys.readouterr().err == f"error: bad {option} value: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--bound=--"],
+            ["analyze", "--triangle", "2,3,7", "--degree-bound=--"],
+            ["analyze", "--triangle=--"],
+            ["analyze", "--triangle", "2,3,7", "--out=--"],
+            ["oracle", "--expr=--"],
+        ],
+    )
+    def test_double_dash_value_refused(self, argv, capsys, tmp_path, monkeypatch):
+        # argparse reads --opt=-- as the empty list [], which no verb may see
+        monkeypatch.chdir(tmp_path)
+        code, text = run(argv)
+        option = argv[-1].split("=")[0]
+        assert code == 2 and text == "" and list(tmp_path.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad {option} value: '--' is not a value\n"
+
 
 class TestInputChecks:
     @pytest.mark.parametrize(

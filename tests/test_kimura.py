@@ -277,7 +277,7 @@ class TestIntegerKernel:
             for p in got:
                 fresh = TriangleParams(p.alpha, p.beta, p.gamma)
                 assert p.inverses() == fresh.inverses()
-                assert p.inverse_pairs() == fresh.inverse_pairs()
+                assert p.pairs == fresh.pairs
 
     def test_odd_sum_matches_fraction_sums(self):
         fired = 0
@@ -361,13 +361,13 @@ class TestIntegerKernel:
         calls = {"one": 0, "two": 0}
 
         def counting(name, search):
-            def wrapper(pairs):
+            def wrapper(p):
                 calls[name] += 1
-                return search(pairs)
+                return search(p)
             return wrapper
 
-        monkeypatch.setattr(kimura, "_condition_one", counting("one", kimura._condition_one))
-        monkeypatch.setattr(kimura, "_condition_two", counting("two", kimura._condition_two))
+        monkeypatch.setattr(kimura, "condition_one", counting("one", kimura.condition_one))
+        monkeypatch.setattr(kimura, "condition_two", counting("two", kimura.condition_two))
         triples = list(hyperbolic_integer_triples(30))
         assert all(decide_condition_ric(p).holds for p in triples)
 

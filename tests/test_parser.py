@@ -25,16 +25,13 @@ from triform.parser import (
     print_expr,
     to_ratfunc,
 )
-from triform.polynomials import Poly, RatFunc
+from triform.polynomials import RatFunc
 from triform.scalars import MAX_BITS, Refused
 
+from conftest import rf
 from reference import reference_parse_expr, reference_to_ratfunc
 
 DATA = pathlib.Path(__file__).parent / "data"
-
-
-def rf(num, den=(1,)):
-    return RatFunc(Poly(num), Poly(den))
 
 
 def random_ast(rng: random.Random, depth: int = 0):
@@ -142,16 +139,6 @@ class TestLowering:
     def test_triangular_example(self):
         R = parse_ratfunc("1/(2*y^2*(y - 1)^2)")
         assert R == rf((1,), (0, 0, 2, -4, 2))
-
-
-def test_golden_renderings_stable():
-    """print_expr output is frozen byte-for-byte for a fixed corpus."""
-    golden = (DATA / "parser_golden.txt").read_text().splitlines()
-    for line in golden:
-        if not line or line.startswith("#"):
-            continue
-        source, expected = line.split("  =>  ")
-        assert print_expr(parse_expr(source)) == expected
 
 
 # -- the lowering against its per-node RatFunc reference --------------------------

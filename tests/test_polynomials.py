@@ -21,15 +21,11 @@ from triform.polynomials import (
 )
 from triform.scalars import Q
 
-from conftest import random_poly, random_ratfunc
+from conftest import random_poly, random_ratfunc, rf
 from reference import coeffs, reference_gcd, value
 
 Y = RatFunc(Poly.variable())
 ONE = RatFunc.const(1)
-
-
-def rf(num, den=(1,)):
-    return RatFunc(Poly(num), Poly(den))
 
 
 class TestPoly:

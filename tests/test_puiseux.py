@@ -10,7 +10,7 @@ from triform.riccati import RiccatiEq
 from triform.scalars import Q
 from triform.schwarzian import TriangleParams, build_triangular_R
 
-from conftest import random_ratfunc
+from conftest import random_ratfunc, rf
 from reference import (
     EXACT,
     PuiseuxSeries,
@@ -22,10 +22,6 @@ from reference import (
 
 Y = RatFunc(Poly.variable())
 ONE = RatFunc.const(1)
-
-
-def rf(num, den=(1,)):
-    return RatFunc(Poly(num), Poly(den))
 
 
 def mono(coeff, exp, cutoff=EXACT):

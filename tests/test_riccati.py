@@ -23,14 +23,10 @@ from triform.riccati import (
 from triform.scalars import Q
 from triform.schwarzian import TriangleParams, build_triangular_R
 
-from conftest import random_poly, random_ratfunc
+from conftest import random_poly, random_ratfunc, rf
 from reference import coeffs, half_riccati_residual, poly_value, riccati_residual, value
 
 Y = RatFunc(Poly.variable())
-
-
-def rf(num, den=(1,)):
-    return RatFunc(Poly(num), Poly(den))
 
 
 def triangular_riccati(text: str) -> RiccatiEq:

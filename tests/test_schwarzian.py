@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from triform.kimura import hyperbolic_integer_triples
 from triform.polynomials import Poly, RatFunc, height
-from triform.scalars import INF, ExtRational, Q, rational_sqrt
+from triform.scalars import INF, ExtRational, Q, ZeroParameter, rational_sqrt
 from triform.schwarzian import (
     Moebius,
     NotTriangular,
@@ -22,7 +23,7 @@ from triform.schwarzian import (
     recognize_triangular,
 )
 
-from conftest import random_nonconstant_ratfunc, random_poly
+from conftest import random_nonconstant_ratfunc, random_poly, rf
 from reference import (
     check_solution,
     compose,
@@ -33,12 +34,9 @@ from reference import (
     schwarzian_of,
     value,
 )
+from test_kimura import random_slot
 
 T = RatFunc(Poly.variable())
-
-
-def rf(num, den=(1,)):
-    return RatFunc(Poly(num), Poly(den))
 
 
 def random_moebius(rng) -> Moebius:
@@ -76,8 +74,40 @@ class TestTriangleParams:
         assert p.inverses() == (Q(1, 2), Q(1, 3), Q(0))
 
     def test_zero_rejected(self):
-        with pytest.raises(Exception):
-            TriangleParams.parse("0,2,3")
+        for values in ((0, 3, 7), (2, 0, 7), (2, 3, 0)):
+            builds = (
+                lambda: TriangleParams(*map(ExtRational.of, values)),
+                lambda: TriangleParams.of(*values),
+                lambda: TriangleParams.parse(",".join(map(str, values))),
+            )
+            for build in builds:
+                with pytest.raises(ZeroParameter, match="^triangle parameter 0 has no inverse$"):
+                    build()
+
+    def test_stored_form_matches_slots(self):
+        """pairs are the slots' inverse pairs, the views give the slots back,
+        str is the slots' text, and ==, hash agree across every way in."""
+        rng = random.Random(2404)
+        triples = []
+        for _ in range(2000):
+            slots = tuple(rng.choice((random_slot, _random_slot))(rng) for _ in range(3))
+            p = TriangleParams(*slots)
+            assert p.pairs == tuple(s.inverse_pair() for s in slots)
+            assert (p.alpha, p.beta, p.gamma) == slots
+            assert str(p) == "(" + ",".join("inf" if s.is_infinite else str(s.value) for s in slots) + ")"
+            triples.append((slots, p))
+        for p in hyperbolic_integer_triples(12):
+            triples.append(((p.alpha, p.beta, p.gamma), p))
+        for slots, p in triples:
+            others = (
+                TriangleParams(*slots),
+                TriangleParams.of(*(s.value for s in slots)),
+                TriangleParams.parse(",".join(map(str, slots))),
+            )
+            for q in others:
+                assert q == p and hash(q) == hash(p) and q.pairs == p.pairs, str(p)
+        # distinct slot triples stay distinct: x -> 1/x is a bijection
+        assert len({p for _, p in triples}) == len({slots for slots, _ in triples})
 
     def test_hyperbolic_flag(self):
         assert TriangleParams.parse("2,3,7").is_hyperbolic
