@@ -33,6 +33,6 @@ from .riccati import (
     rational_solutions,
 )
 from .puiseux import leading_constraints
-from .parser import parse_expr, parse_ratfunc, print_expr, to_ratfunc
+from .parser import parse_expr, parse_ratfunc, print_expr
 
 __version__ = "0.1.0"

@@ -11,7 +11,9 @@ Verbs:
 
 Machine-readable output (--json) is a single JSON object per invocation
 with fixed field order {input, normalized, triangular, hyperbolic,
-kimura, oracle, conclusion, citations}, suitable for golden files.
+kimura, oracle, conclusion, citations}, suitable for golden files;
+series-check appends "series" and sweep --full appends "table" after
+"citations".
 
 Exit codes: 0 conclusion reached, 2 a triform.Refused (an input error or a
 declared size or work limit), 3 internal consistency failure (a cross-check

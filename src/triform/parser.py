@@ -11,12 +11,13 @@ Grammar (no implicit multiplication, no negative literal exponents):
 INT is a run of decimal digits (str.isdecimal); NAME is a letter or '_'
 followed by letters, decimal digits or '_'; whitespace is str.isspace.
 
-One parser reads the tokens, three parallel lists, by precedence climbing.
-parse_expr has it build the AST; parse_ratfunc has it build each node's
-lowered value in its place, and lowers again from the AST, which names the
-node in the message, only when a size check fails, a divisor is zero or
-two names occur.  Errors come in one order: syntax and shape, mixed names,
-then the first failing node in post-order.  Diagnostics carry the
+One parser reads the tokens, three parallel lists, by precedence climbing,
+and hands each node's source span to a maker.  parse_expr has it build the
+AST; parse_ratfunc has it build each node's lowered value in its place, the
+only lowering.  A failing size check or zero divisor stops it with the
+span; the text is then parsed into an AST, so that errors come in one
+order: syntax and shape, mixed names, then the first failing node in
+post-order, named by printing its span's AST.  Diagnostics carry the
 character offset and the expected-token set.  The printer's canonical form
 reparses to the same AST, and printing a parsed canonical form is a fixed
 point.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Tuple, Union
 
 from .polynomials import Poly, RatFunc, height, int_poly
@@ -130,12 +130,12 @@ def _tokenize(text: str) -> Tuple[List[str], List[str], List[int]]:
 # the parser reads it: MAX_NESTING parentheses and unary minus signs around
 # a token, and MAX_DEPTH operators on a path from the root (a sum y+...+y
 # of k terms has k - 1).  The parser recurses at most three frames per
-# parenthesis and none per minus; lowering an AST and printing one recurse
-# a frame per operator on a path.  Measured on Python 3.11 from the caller
-# of cli.main: a sum of MAX_DEPTH + 1 terms in MAX_NESTING parentheses
-# needs 212 of the default 1,000 frames, and 512 when its root fails a
-# size check and is lowered and printed from the AST, so the caller keeps
-# 488.  Lowered from its AST, a 1,001-term sum would run out of frames.
+# parenthesis and none per minus; printing an AST recurses a frame per
+# operator on a path.  Measured on Python 3.11 from the caller of
+# cli.main: a sum of MAX_DEPTH + 1 terms in MAX_NESTING parentheses needs
+# 211 of the default 1,000 frames, and 507 when its root fails a size
+# check and its span is parsed and printed, so the caller keeps 493.
+# Printed from its AST, a 1,001-term sum would run out of frames.
 MAX_NESTING = 100
 MAX_DEPTH = 500
 
@@ -145,9 +145,10 @@ _END = ("'+'", "'-'", "'*'", "'/'", "'^'", "end of input")
 
 
 def _parse(text: str, build: tuple) -> tuple:
-    """What build, the five makers (num, var, neg, power, binop) with the
-    arities of Num, Var, Neg, Pow and BinOp, makes of text's root, and the
-    set of its names.  Precedence climbing (Pratt 1973): binary(i, level)
+    """What build, the five makers (num, var, neg, power, binop), makes of
+    text's root, and the set of its names.  Each maker is given the start
+    and end offsets of its node's text, then the arguments of Num, Var,
+    Neg, Pow or BinOp.  Precedence climbing (Pratt 1973): binary(i, level)
     reads an operand from token i, then each operator binding at least as
     tightly as level with a right operand binding tighter.  Both return
     (node, depth, next token); depth counts operators to the deepest leaf."""
@@ -190,9 +191,9 @@ def _parse(text: str, build: tuple) -> tuple:
             i += 1
         minus, kind = i, kinds[i]
         if kind == "INT":
-            node, depth = num(number(i)), 0
+            node, depth = num(offsets[i], offsets[i + 1], number(i)), 0
         elif kind == "NAME":
-            node, depth = var(words[i]), 0
+            node, depth = var(offsets[i], offsets[i + 1], words[i]), 0
             names.add(words[i])
         elif kind == "(":
             nest(i)
@@ -206,21 +207,24 @@ def _parse(text: str, build: tuple) -> tuple:
         if kinds[i] == "^":
             if kinds[i + 1] != "INT":
                 fail(i + 1, ("a nonnegative integer exponent",))
-            node, depth = power(node, number(i + 1)), deeper(i, depth)
+            node = power(offsets[minus], offsets[i + 2], node, number(i + 1))
+            depth = deeper(i, depth)
             i += 2
+        end = offsets[i]
         while minus > first:  # the innermost minus first
             minus -= 1
             nesting -= 1
-            node, depth = neg(node), deeper(minus, depth)
+            node, depth = neg(offsets[minus], end, node), deeper(minus, depth)
         return node, depth, i
 
     def binary(i: int, level: int) -> tuple:
+        start = offsets[i]
         node, depth, i = unary(i)
         while (binding := _BINARY.get(kinds[i], 0)) >= level:
             op = kinds[i]
             right, right_depth, j = unary(i + 1) if binding == 2 else binary(i + 1, binding + 1)
-            node, depth = binop(op, node, right), deeper(i, max(depth, right_depth))
-            i = j
+            node = binop(start, offsets[j], op, node, right)
+            depth, i = deeper(i, max(depth, right_depth)), j
         return node, depth, i
 
     node, _, i = binary(0, 1)
@@ -229,9 +233,17 @@ def _parse(text: str, build: tuple) -> tuple:
     return node, names
 
 
+def _spanless(make):
+    """make, called with its node's span ahead of its arguments."""
+    return lambda start, end, *args: make(*args)
+
+
+_AST = tuple(map(_spanless, (Num, Var, Neg, Pow, BinOp)))
+
+
 def parse_expr(text: str) -> ExprAST:
     """Parse a rational expression; raises ExprSyntaxError with position."""
-    return _parse(text, (Num, Var, Neg, Pow, BinOp))[0]
+    return _parse(text, _AST)[0]
 
 
 # -- printer -------------------------------------------------------------------
@@ -277,60 +289,56 @@ MAX_DEGREE = 1000
 # non-constant divisor appears.  A Poly p has the value of the RatFunc p/1,
 # with the same lengths and height, so the size checks read the same
 # numbers in the same node order as on a RatFunc for every node.  The
-# lowering functions take the node only to name it in a message: None when
-# lowering in the parser's place.
+# lowering functions take the node's span, start and end, only to name the
+# node in a message.
 _X, _ONE = Poly.variable(), Poly.one()
 _Lowered = Union[Poly, RatFunc]
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _LIMIT = 1 << MAX_BITS  # past MAX_BITS bits: the integers >= _LIMIT or <= -_LIMIT
 
 
-class _Unnamed(Exception):
-    """A lowering error at a node the parser did not build."""
+class _Failed(Exception):
+    """A lowering error at the node text[start:end]: args are the span, the
+    Refused subclass to raise and its message, with {} for the node."""
 
 
-def _text(node) -> str:
-    if node is None:
-        raise _Unnamed
-    return print_expr(node)
-
-
-def _check(node, what: str, value: int, limit: int) -> None:
+def _check(start: int, end: int, what: str, value: int, limit: int) -> None:
     if value > limit:
-        raise ExpressionTooLarge(f"{_text(node)} may reach {what} {value}, above the limit {limit}")
+        message = f"{{}} may reach {what} {value}, above the limit {limit}"
+        raise _Failed((start, end), ExpressionTooLarge, message)
 
 
 def _as_ratfunc(f: _Lowered) -> RatFunc:
     return RatFunc._raw(f, _ONE) if type(f) is Poly else f
 
 
-def _lower_num(node, value: int) -> Poly:
+def _lower_num(start: int, end: int, value: int) -> Poly:
     if value.bit_length() > MAX_BITS:
-        _check(node, "integer bits", value.bit_length(), MAX_BITS)
+        _check(start, end, "integer bits", value.bit_length(), MAX_BITS)
     return int_poly([value], 1)
 
 
-def _lower_pow(node, base: _Lowered, e: int) -> _Lowered:
+def _lower_pow(start: int, end: int, base: _Lowered, e: int) -> _Lowered:
     """Checked before expanding: the integers of P**e, for an integer P of
     degree <= k and height <= h, are at most ((k + 1) * h)**e."""
     if base is _X:  # k = h = 1: e bits, which the degree limit keeps under MAX_BITS
-        _check(node, "degree", e, MAX_DEGREE)
+        _check(start, end, "degree", e, MAX_DEGREE)
         return int_poly([0] * e + [1], 1)
     f = _as_ratfunc(base)
     k = max(f.num.degree, f.den.degree, 0)
-    _check(node, "degree", k * e, MAX_DEGREE)
-    _check(node, "integer bits", ((k + 1) * height(base) - 1).bit_length() * e, MAX_BITS)
+    _check(start, end, "degree", k * e, MAX_DEGREE)
+    _check(start, end, "integer bits", ((k + 1) * height(base) - 1).bit_length() * e, MAX_BITS)
     return base**e
 
 
-def _lower_binop(node, op: str, left: _Lowered, right: _Lowered) -> _Lowered:
+def _lower_binop(start: int, end: int, op: str, left: _Lowered, right: _Lowered) -> _Lowered:
     """The degree bound of a/b op c/d is checked before any product or gcd
     starts, the integers on the result.  a, b, c, d count coefficients
     (degree + 1), so a bound on the sum of two degrees is 2 less."""
     if type(left) is Poly and type(right) is Poly:
         # the bounds below with b = d = 1, where they pass the limit
         a, c = len(left.ints), len(right.ints)
-        _check(node, "degree", a + c - 2 if op == "*" else max(a, c) - 1, MAX_DEGREE)
+        _check(start, end, "degree", a + c - 2 if op == "*" else max(a, c) - 1, MAX_DEGREE)
         if op != "/":
             result = _OPERATORS[op](left, right)
         elif c > 1:
@@ -338,70 +346,44 @@ def _lower_binop(node, op: str, left: _Lowered, right: _Lowered) -> _Lowered:
         elif c:  # a constant divisor n/m: multiply by m/n
             result = int_poly([x * right.den for x in left.ints], left.den * right.ints[0])
         else:
-            raise DivisionByZeroConstant(f"division by zero in {_text(node)}")
+            raise _Failed((start, end), DivisionByZeroConstant, "division by zero in {}")
     else:
         left, right = _as_ratfunc(left), _as_ratfunc(right)
         a, b, c, d = (len(p.ints) for p in (left.num, left.den, right.num, right.den))
         plus = (a + d, c + b, b + d)
         bounds = {"+": plus, "-": plus, "*": (a + c, b + d), "/": (a + d, b + c)}
-        _check(node, "degree", max(bounds[op]) - 2, MAX_DEGREE)
+        _check(start, end, "degree", max(bounds[op]) - 2, MAX_DEGREE)
         if op == "/" and right.is_zero:
-            raise DivisionByZeroConstant(f"division by zero in {_text(node)}")
+            raise _Failed((start, end), DivisionByZeroConstant, "division by zero in {}")
         result = _OPERATORS[op](left, right)
     for p in (result,) if type(result) is Poly else (result.num, result.den):
         if p.den >= _LIMIT or p.ints and (max(p.ints) >= _LIMIT or -min(p.ints) >= _LIMIT):
-            _check(node, "integer bits", height(result).bit_length(), MAX_BITS)
+            _check(start, end, "integer bits", height(result).bit_length(), MAX_BITS)
     return result
 
 
-def _lower(node: ExprAST) -> _Lowered:
-    kind = type(node)
-    if kind is BinOp:
-        return _lower_binop(node, node.op, _lower(node.left), _lower(node.right))
-    if kind is Num:
-        return _lower_num(node, node.value)
-    if kind is Var:
-        return _X
-    if kind is Neg:
-        return -_lower(node.operand)
-    return _lower_pow(node, _lower(node.base), node.exponent)
-
-
-def to_ratfunc(node: ExprAST) -> RatFunc:
-    """Lower an AST into an exact rational function of its single variable.
-
-    Raises Refused when two distinct names occur, DivisionByZeroConstant
-    when a divisor is identically zero, ExpressionTooLarge past the size
-    limits."""
-    names = set()
-
-    def scan(n: ExprAST):
-        kind = type(n)
-        if kind is Var:
-            names.add(n.name)
-        elif kind is BinOp:
-            scan(n.left)
-            scan(n.right)
-        elif kind is not Num:
-            scan(n.operand if kind is Neg else n.base)
-
-    scan(node)
-    if len(names) > 1:
-        raise Refused(f"expression mixes variables {sorted(names)}")
-    return _as_ratfunc(_lower(node))
-
-
 # the makers of Num, Var, Neg, Pow and BinOp values for parse_ratfunc
-_LOWERED = (partial(_lower_num, None), lambda name: _X, operator.neg,
-            partial(_lower_pow, None), partial(_lower_binop, None))
+_LOWERED = (_lower_num, lambda start, end, name: _X, lambda start, end, f: -f,
+            _lower_pow, _lower_binop)
 
 
 def parse_ratfunc(text: str) -> RatFunc:
-    """to_ratfunc(parse_expr(text)), lowered as the parser reads it."""
+    """Lower a rational expression into an exact rational function of its
+    single variable, as the parser reads it.
+
+    Raises what parse_expr raises, then Refused when two distinct names
+    occur, DivisionByZeroConstant when a divisor is identically zero and
+    ExpressionTooLarge past the size limits."""
     try:
         value, names = _parse(text, _LOWERED)
-        if len(names) < 2:
-            return _as_ratfunc(value)
-    except _Unnamed:
-        pass
-    return to_ratfunc(parse_expr(text))  # which words the error
+        failed = None
+    except _Failed as exc:
+        failed = exc
+    if failed:
+        names = _parse(text, _AST)[1]  # syntax and shape errors come first
+    if len(names) > 1:
+        raise Refused(f"expression mixes variables {sorted(names)}")
+    if failed:
+        (start, end), kind, message = failed.args
+        raise kind(message.format(print_expr(parse_expr(text[start:end]))))
+    return _as_ratfunc(value)

@@ -428,8 +428,6 @@ class RatFunc:
         return RatFunc._raw(self.num.scale(c), self.den)
 
     def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return (_RF_ONE / self) ** (-n)
         # gcd(num, den) = 1 gives gcd(num^n, den^n) = 1
         return RatFunc._raw(self.num**n, self.den**n)
 
@@ -473,7 +471,6 @@ def monic_denominator(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
 
 
 _RF_ZERO = RatFunc(_ZERO)
-_RF_ONE = RatFunc(_ONE)
 
 
 def height(f) -> int:

@@ -512,7 +512,7 @@ class TestShapeLimits:
 
     def test_the_deepest_accepted_input_leaves_the_caller_room(self):
         # both limits at once: a sum of MAX_DEPTH operators inside
-        # MAX_NESTING parentheses; the limits' comment measures 212 frames
+        # MAX_NESTING parentheses; the limits' comment measures 211 frames
         chain = "+".join(["y"] * (MAX_DEPTH + 1))
         expr = "(" * MAX_NESTING + chain + ")" * MAX_NESTING
         old = sys.getrecursionlimit()
@@ -523,10 +523,10 @@ class TestShapeLimits:
             sys.setrecursionlimit(old)
         assert code == 0
 
-    def test_a_deepest_input_lowered_from_its_ast_leaves_the_caller_room(self, capsys):
-        # as above, but the root's sum passes the bit limit, so the AST is
-        # lowered and printed, a frame per operator on the path; the
-        # limits' comment measures 512 frames
+    def test_a_deepest_input_named_from_its_span_leaves_the_caller_room(self, capsys):
+        # as above, but the root's sum passes the bit limit, so its span is
+        # parsed and printed, a frame per operator on the path; the limits'
+        # comment measures 507 frames
         terms = ["2^9999"] + ["y"] * (MAX_DEPTH - 2) + ["2^9999"]
         expr = "(" * MAX_NESTING + "+".join(terms) + ")" * MAX_NESTING
         old = sys.getrecursionlimit()

@@ -136,6 +136,14 @@ class TestRatFuncExamples:
         with pytest.raises(ZeroDivisionError):
             ONE / RatFunc.zero()
 
+    def test_negative_power_refused(self):
+        # as on Poly: the grammar has no negative exponent, so no caller
+        # inverts through a power
+        with pytest.raises(ValueError):
+            Poly((1, 1)) ** -1
+        with pytest.raises(ValueError):
+            rf((1, 1), (0, 1)) ** -1
+
     def test_canonical_structural_equality(self):
         a = rf((0, 2), (0, 0, 2))  # 2y / 2y^2
         b = rf((1,), (0, 1))  # 1/y
@@ -227,7 +235,8 @@ class TestReducedArithmetic:
             ref = ONE
             for _ in range(abs(n)):
                 ref = ref * x
-            assert x**n == (ref if n >= 0 else ONE / ref)
+            got = x**n if n >= 0 else (ONE / x) ** -n  # x**n refuses n < 0
+            assert got == (ref if n >= 0 else ONE / ref)
 
     def test_gcd_matches_plain_euclid(self, rng):
         def euclid(a, b):
