@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 
 from . import kimura, puiseux, riccati
 from .parser import parse_ratfunc
-from .polynomials import RatFunc, check_output_size, height
+from .polynomials import RatFunc, height
 from .scalars import MAX_BITS, Q, Refused, parse_q
 from .schwarzian import (
     Moebius,
@@ -123,6 +123,8 @@ def _check_bits(option: str, what: str, bits: int) -> None:
 def _resolve_input(args) -> Tuple[Optional[TriangleParams], RatFunc, dict]:
     """Build (params-if-known, R, input-echo) from --triangle/--expr, with
     the integers of R checked against MAX_BITS on every route."""
+    if args.triangle is not None and args.expr is not None:
+        raise Refused("only one of --triangle or --expr may be given")
     if args.triangle is not None:
         params = _parse_option("triangle", TriangleParams.parse, args.triangle)
         R = build_triangular_R(params)
@@ -145,22 +147,20 @@ def _resolve_input(args) -> Tuple[Optional[TriangleParams], RatFunc, dict]:
 
 
 def _recognize(R: RatFunc):
-    """(triangular-json, params-or-None, symbolic-flag)."""
+    """(triangular-json, params-or-None)."""
     try:
         rec = recognize_triangular(R)
     except NotTriangular as exc:
         info = {"recognized": False, "reason": str(exc)}
         if exc.inverse_squares is not None:
             info["inverse_squares"] = [str(q) for q in exc.inverse_squares]
-        return info, None, False
+        return info, None
     info = {
         "recognized": True,
         "inverse_squares": [str(q) for q in rec.inverse_squares],
         "params_up_to_sign": [str(p) for p in rec.params],
     }
-    if rec.has_exact_params:
-        return info, rec.triangle_params(), False
-    return info, None, True
+    return info, rec.triangle_params() if rec.has_exact_params else None
 
 
 def _document(echo: dict, R: Optional[RatFunc], **fields) -> dict:
@@ -173,14 +173,14 @@ def _document(echo: dict, R: Optional[RatFunc], **fields) -> dict:
 
 def cmd_analyze(args, out) -> int:
     params, R, echo = _resolve_input(args)
-    triangular, recognized, symbolic = _recognize(R)
+    triangular, recognized = _recognize(R)
     if params is None:
         params = recognized
 
     if params is None:
         doc = _document(
             echo, R, triangular=triangular,
-            conclusion=INDETERMINATE if symbolic else NOT_TRIANGULAR,
+            conclusion=INDETERMINATE if triangular["recognized"] else NOT_TRIANGULAR,
             citations=[CITATIONS["table"]],
         )
         return _emit(doc, args, out)
@@ -307,8 +307,6 @@ def cmd_series_check(args, out) -> int:
             a0 = nonzero[0].scale(Q(2))
 
     report = puiseux.leading_constraints(lambda0, a0, R)
-    shown = (report.obstruction_coefficient, report.constraint_residual, report.half_riccati_solution)
-    check_output_size("the series-check result", *(f for f in shown if f is not None))
     series = {
         "lambda0": str(report.lambda0),
         "a0": None if report.a0 is None else report.a0.render("y"),
@@ -322,7 +320,7 @@ def cmd_series_check(args, out) -> int:
         # E(U) for U = a0 * w^0 + O(w^truncation) is the constraint at w^0
         series["residual"] = render_w0(report.constraint_residual, args.truncation)
     doc = _document(
-        echo, R, conclusion=report.describe(), citations=[CITATIONS["conclusion"]], series=series
+        echo, R, conclusion=report.conclusion, citations=[CITATIONS["conclusion"]], series=series
     )
     return _emit(doc, args, out)
 

@@ -86,6 +86,11 @@ class UnsupportedAtInfinity(Refused):
 # process on a 2-core x86-64 with Python 3.11: at k = 8 (512 combos) it
 # takes 0.12-0.14 s, at k = 9 (1024 combos) 0.28-0.29 s and at k = 10
 # (2048 combos) 0.41-0.63 s.  The R of a triangle has at most 8 combos.
+# The count does not bound the cost of each combo, which grows with the
+# poles that have one exponent: adding sum_{j=1..m} (1/2)/(y + j) to that
+# u keeps 512 combos, but took 0.4-0.7 s at m = 20, 1.4-1.7 s at m = 50,
+# and 99.8 s at m = 240.  ROADMAP items 2 (a cheaper per-combo operator)
+# and 5 (limits in counted work) are the follow-up.
 MAX_COMBOS = 512
 
 

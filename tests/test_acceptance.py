@@ -258,7 +258,7 @@ def test_criterion_7_puiseux_reduction():
     assert half_riccati_residual(a0, R).is_zero
     assert series_residual(PuiseuxSeries.monomial(a0, Q(0)), R).is_zero
     rep = leading_constraints(Q(0), a0, R)
-    assert rep.satisfied and rep.half_riccati_solution == u
+    assert rep.satisfied and f"a0/2 = {u.render('y')} solves the Riccati equation" in rep.conclusion
     print(
         "PASS criterion 7: w^0 extraction (100 tails and cutoffs), leading balance "
         "(50 positive and 50 negative exponents), half-Riccati bridge both "

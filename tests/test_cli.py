@@ -265,6 +265,13 @@ class TestRefused:
         assert captured.out == ""
         assert captured.err == f"error: bad {option} value: '--' is not a value\n"
 
+    @pytest.mark.parametrize("verb", ["analyze", "oracle", "series-check"])
+    def test_triangle_and_expr_together_refused(self, verb, capsys):
+        # each would otherwise answer about the triangle and drop the expression
+        code, text = run([verb, "--triangle", "2,3,7", "--expr", "y"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: only one of --triangle or --expr may be given\n"
+
 
 class TestInputChecks:
     @pytest.mark.parametrize(
@@ -1148,7 +1155,7 @@ class TestSeriesCheck:
 
     def test_golden_output(self, capsys):
         # tests/data/series_check.out: each "$ triform ARGS" line, then its
-        # stdout; one case per ConstraintReport.describe branch, text and --json
+        # stdout; one case per conclusion leading_constraints writes, text and --json
         golden = (DATA / "series_check.out").read_text()
         cases = golden.split("$ triform ")[1:]
         assert len(cases) == 40

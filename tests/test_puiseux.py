@@ -4,7 +4,7 @@ reference truncated-series arithmetic, and that reference itself."""
 import pytest
 
 from triform.cli import render_w0
-from triform.polynomials import Poly, RatFunc
+from triform.polynomials import OutputTooLarge, Poly, RatFunc
 from triform.puiseux import ZeroLeadingCoefficient, leading_constraints, residual
 from triform.riccati import RiccatiEq
 from triform.scalars import Q
@@ -200,15 +200,17 @@ class TestLeadingConstraints:
     def test_positive_lambda_obstruction(self):
         rep = leading_constraints(Q(1), Y, RatFunc.zero())
         assert rep.obstruction_exponent == 2
-        assert rep.obstruction_factor == Q(3, 2)
         assert rep.obstruction_coefficient == (Y * Y).scale(Q(3, 2))
-        assert "obstructed" in rep.describe()
+        assert rep.conclusion == (
+            "lambda0 = 1 > 0 is obstructed: E(U) has the nonzero coefficient 3/2*y^2 at exponent 2"
+        )
 
     def test_positive_lambda_symbolic(self):
         rep = leading_constraints(Q(1, 2), None, RatFunc.zero())
         assert rep.obstruction_exponent == 1
-        assert rep.obstruction_factor == Q(1)
         assert rep.obstruction_coefficient is None
+        # the general factor lambda0 + 1/2 = 1 stands in for a value
+        assert "nonzero coefficient (1)*a0^2 at exponent 1" in rep.conclusion
 
     def test_negative_lambda_obstruction(self):
         R = build_triangular_R(TriangleParams.parse("2,3,7"))
@@ -222,22 +224,31 @@ class TestLeadingConstraints:
         rep = leading_constraints(Q(0), a0, R)
         assert rep.satisfied
         assert rep.constraint_residual.is_zero
-        # the bridge: a0/2 solves the Riccati equation
-        u = rep.half_riccati_solution
+        # the bridge: a0/2 solves the Riccati equation, and the conclusion names it
+        u = a0.scale(Q(1, 2))
         assert RiccatiEq(R).residual(u).is_zero
-        assert "solves the Riccati equation" in rep.describe()
+        assert f"a0/2 = {u.render('y')} solves the Riccati equation" in rep.conclusion
 
     def test_lambda_zero_violated(self):
         R = build_triangular_R(TriangleParams.parse("2,3,7"))
         rep = leading_constraints(Q(0), Y, R)
         assert rep.satisfied is False
-        assert rep.half_riccati_solution is None
+        assert "Riccati" not in rep.conclusion
         assert not rep.constraint_residual.is_zero
+        assert rep.conclusion.endswith(f"residual = {rep.constraint_residual.render('y')}")
 
     def test_lambda_zero_symbolic(self):
         rep = leading_constraints(Q(0), None, RatFunc.zero())
         assert rep.satisfied is None
-        assert "must satisfy" in rep.describe()
+        assert "must satisfy" in rep.conclusion
+
+    @pytest.mark.parametrize("lam", [1, 0])
+    def test_result_over_the_output_limit_refused(self, lam):
+        # an a0 of 8,717 bits: the coefficient 3/2*a0^2 (lambda0 = 1) and the
+        # residual a0' + a0^2/2 (lambda0 = 0) have integers above 14,000 bits
+        a0 = rf((1, 3**5500))
+        with pytest.raises(OutputTooLarge, match="^the series-check result has integers of"):
+            leading_constraints(lam, a0, RatFunc.zero())
 
 
 def test_bridge_both_directions(rng):
