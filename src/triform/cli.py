@@ -135,7 +135,7 @@ def _resolve_input(args) -> Tuple[Optional[TriangleParams], RatFunc, dict]:
         echo = {"expr": args.expr}
     else:
         raise Refused("one of --triangle or --expr is required")
-    if getattr(args, "moebius", None):
+    if args.moebius is not None:
         m = _parse_option("moebius", Moebius.parse, args.moebius)
         _check_bits("moebius", "the pullback may reach integers of", pullback_bits(R, m))
         R = moebius_pullback(R, m)
@@ -280,6 +280,8 @@ def cmd_series_check(args, out) -> int:
     if args.triangle is None and args.expr is None:
         if args.lambda0 is None:
             raise Refused("one of --triangle, --expr, or --lambda0 is required")
+        if args.moebius is not None:
+            raise Refused("--moebius needs --triangle or --expr")
         R = RatFunc.zero()
         echo = {"lambda0": args.lambda0}
     else:
@@ -353,10 +355,12 @@ def cmd_oracle(args, out) -> int:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an --out that is a directory, or whose directory is missing or
-    not a directory, before any work starts, with the message open() would
-    give; creates and truncates nothing."""
-    if os.path.isdir(path):
+    """Refuse an --out that is empty or a directory, or whose directory is
+    missing or not a directory, before any work starts, with the message
+    open() would give; creates and truncates nothing."""
+    if not path:
+        code = errno.ENOENT  # open("") finds no file
+    elif os.path.isdir(path):
         code = errno.EISDIR
     else:
         try:
@@ -381,7 +385,7 @@ def _emit(doc: dict, args, out, code: int = 0, table=None) -> int:
         chunks = (_json(doc), "\n")
     else:
         chunks = _json_with_table(doc, table)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 for chunk in chunks:
@@ -636,7 +640,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                     raise Refused(f"bad --{field.replace('_', '-')} value: '--' is not a value")
         if args.degree_bound < 0:
             raise Refused("--degree-bound must be nonnegative")
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         return args.func(args, out)
     except Refused as exc:

@@ -189,22 +189,26 @@ def recognize_triangular(R: RatFunc) -> TriangularRecognition:
     return TriangularRecognition(inverse_squares, tuple(params))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Moebius:
-    """z = (a*y + b)/(c*y + d) with rational entries and ad - bc != 0."""
+    """z = (a*y + b)/(c*y + d) with ad - bc != 0.
 
-    a: object
-    b: object
-    c: object
-    d: object
+    Its one stored form is the integer matrix: the constructor takes rational
+    entries and stores them times the lcm of their denominators, the same
+    map, so == and hash compare the cleared matrix."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Q(self.a))
-        object.__setattr__(self, "b", Q(self.b))
-        object.__setattr__(self, "c", Q(self.c))
-        object.__setattr__(self, "d", Q(self.d))
-        if self.a * self.d - self.b * self.c == 0:
-            raise SingularMoebius(f"ad - bc = 0 in {self}")
+    a: int
+    b: int
+    c: int
+    d: int
+
+    def __init__(self, a, b, c, d):
+        entries = a, b, c, d = Q(a), Q(b), Q(c), Q(d)
+        if a * d == b * c:
+            raise SingularMoebius(f"ad - bc = 0 in ({a}*y + {b})/({c}*y + {d})")
+        scale = math.lcm(*(x.denominator for x in entries))
+        for name, x in zip("abcd", entries):
+            object.__setattr__(self, name, x.numerator * (scale // x.denominator))
 
     @staticmethod
     def parse(text: str) -> "Moebius":
@@ -216,21 +220,12 @@ class Moebius:
     def inverse(self) -> "Moebius":
         return Moebius(self.d, -self.b, -self.c, self.a)
 
-    def __str__(self) -> str:
-        return f"({self.a}*y + {self.b})/({self.c}*y + {self.d})"
-
-
-def _integer_entries(m: Moebius) -> Tuple[int, int, int, int]:
-    """The entries of m times the lcm of their denominators: the same map."""
-    scale = math.lcm(m.a.denominator, m.b.denominator, m.c.denominator, m.d.denominator)
-    return tuple(x.numerator * (scale // x.denominator) for x in (m.a, m.b, m.c, m.d))
-
 
 def pullback_bits(R: RatFunc, m: Moebius) -> int:
     """A bound, known before it runs, on the bits of moebius_pullback(R, m):
-    with m's entries cleared to size <= h, R gains 2x + 4 <= n + k + |4 + n - k|
+    with m's integer entries of size <= h, R gains 2x + 4 <= n + k + |4 + n - k|
     linear factors and det^2, four more, each factor of size <= 2h."""
-    h = max(map(abs, _integer_entries(m)))
+    h = max(abs(m.a), abs(m.b), abs(m.c), abs(m.d))
     n, k = len(R.num.ints), len(R.den.ints)
     return height(R).bit_length() + (n + k + abs(4 + n - k) + 4) * (2 * h).bit_length()
 
@@ -248,8 +243,7 @@ def moebius_pullback(R: RatFunc, m: Moebius) -> RatFunc:
     # Rt = det^2 N(M/L) L^x / (D(M/L) L^(x+4)), Taylor shifts in L by
     # c(az + b) = a(cz + d) - det when c != 0.  m^{-1} is bijective on P^1 and
     # only one side has extra powers of L, so den only needs to be monic.
-    p, q, r, s = _integer_entries(m)
-    a, b, c, d, det = inv = (s, -q, -r, p, p * s - q * r)
+    a, b, c, d, det = inv = (m.d, -m.b, -m.c, m.a, m.a * m.d - m.b * m.c)
     N, D = R.num, R.den
     x = max(N.degree, D.degree - 4)
     num = _homogenize_ints(N.ints, x, inv)

@@ -198,6 +198,11 @@ class TestAnalyze:
         assert doc["oracle"]["consistency"] == "CONTRADICTION" and doc["oracle"]["note"] == note
 
 
+NO_MOEBIUS_WITHOUT_R = "--moebius needs --triangle or --expr"
+EMPTY_MOEBIUS = "bad --moebius value: expected four comma-separated entries, got ''"
+EMPTY_OUT = "bad --out value: [Errno 2] No such file or directory: ''"  # as open("") words it
+
+
 class TestRefused:
     """Exit 2 is exactly a triform.Refused, raised by the layer that rejects
     the input; any other error is a bug and propagates."""
@@ -271,6 +276,28 @@ class TestRefused:
         code, text = run([verb, "--triangle", "2,3,7", "--expr", "y"])
         assert code == 2 and text == ""
         assert capsys.readouterr().err == "error: only one of --triangle or --expr may be given\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["series-check", "--lambda0", "1", "--moebius", "garbage"], NO_MOEBIUS_WITHOUT_R),
+            (["series-check", "--lambda0", "0", "--moebius", "1,0,0,0", "--json"], NO_MOEBIUS_WITHOUT_R),
+            (["analyze", "--triangle", "2,3,7", "--moebius="], EMPTY_MOEBIUS),
+            (["oracle", "--triangle", "2,3,7", "--moebius", ""], EMPTY_MOEBIUS),
+            (["series-check", "--triangle", "2,3,7", "--moebius="], EMPTY_MOEBIUS),
+            (["analyze", "--triangle", "2,3,7", "--out", ""], EMPTY_OUT),
+        ],
+        ids=[
+            "series-check-moebius-garbage", "series-check-moebius-singular", "analyze-moebius-empty",
+            "oracle-moebius-empty", "series-check-moebius-empty", "analyze-out-empty",
+        ],
+    )
+    def test_given_value_is_not_ignored(self, argv, message, capsys, tmp_path, monkeypatch):
+        # each exited 0 without reading --moebius, or wrote to stdout for --out ""
+        monkeypatch.chdir(tmp_path)
+        code, text = run(argv)
+        assert code == 2 and text == "" and list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestInputChecks:
@@ -918,6 +945,11 @@ class TestSweepCrossCheck:
         assert code == 0
         assert seen == {degree_bound}
         assert doc["input"] == {"bound": 5, "degree_bound": degree_bound}
+
+    def test_committed_bound_30_output(self):
+        code, text = run(["sweep", "--bound", "30", "--cross-check", "--json"])
+        assert code == 0
+        assert text == (DATA / "sweep_30_cross_check.json").read_text()
 
     def test_text_reports_the_status_counts(self):
         code, text = run(["sweep", "--bound", "5", "--cross-check"])

@@ -2,7 +2,9 @@
 rest on, checked with the references in reference.py."""
 
 import math
+import pathlib
 import random
+import runpy
 
 import pytest
 
@@ -179,6 +181,27 @@ class TestMoebius:
     def test_singular_rejected(self):
         with pytest.raises(SingularMoebius):
             Moebius(1, 2, 2, 4)
+
+    def test_singular_message_names_the_given_entries(self):
+        with pytest.raises(SingularMoebius) as exc:
+            Moebius(Q(1, 2), 1, Q(1, 2), 1)
+        assert str(exc.value) == "ad - bc = 0 in (1/2*y + 1)/(1/2*y + 1)"
+
+    def test_stores_the_cleared_integer_matrix(self):
+        m = Moebius(Q(1, 2), 0, 0, 1)
+        assert (m.a, m.b, m.c, m.d) == (1, 0, 0, 2)
+        assert all(type(x) is int for x in (m.a, m.b, m.c, m.d))
+        assert m == Moebius(1, 0, 0, 2) and hash(m) == hash(Moebius(1, 0, 0, 2))
+        # neither divided by the gcd nor sign-normalized
+        m = Moebius(Q(-2, 3), 0, 0, Q(-4, 3))
+        assert (m.a, m.b, m.c, m.d) == (-2, 0, 0, -4)
+
+    def test_jfunction_walkthrough_prints_the_committed_output(self, capsys):
+        # scripts/jfunction_demo.py pulls back along Moebius(1728, 0, 0, 1)
+        # and along its inverse
+        tests = pathlib.Path(__file__).parent
+        runpy.run_path(str(tests.parent / "scripts" / "jfunction_demo.py"), run_name="__main__")
+        assert capsys.readouterr().out == (tests / "data" / "jfunction_demo.out").read_text()
 
     def test_inverse_composes_to_identity(self, rng):
         for _ in range(50):
